@@ -22,7 +22,8 @@ from .errors import (
     TooShortForLyapunovError,
 )
 
-# Flattened feature order; names double as CSV/JSON column labels.
+# Flattened feature order; names double as CSV/JSON column labels.  The
+# CharacteristicVector attribute of each column is its lower-cased name.
 COLUMNS = (
     "mean",
     "standard_deviation",
@@ -41,27 +42,6 @@ COLUMNS = (
     "self_similarity",
     "chaos",
 )
-
-# Attribute names on CharacteristicVector, aligned with COLUMNS.
-_ATTRS = (
-    "mean",
-    "standard_deviation",
-    "skewness",
-    "kurtosis",
-    "maximum",
-    "minimum",
-    "lowerquant",
-    "median",
-    "upperquant",
-    "var99",
-    "var95",
-    "slope",
-    "intercept",
-    "autocorrelation",
-    "self_similarity",
-    "chaos",
-)
-
 
 @dataclass
 class CharacteristicsConfig:
@@ -105,9 +85,8 @@ class Trend(NamedTuple):
 class CharacteristicVector:
     """The sixteen named characteristics of one series.
 
-    ``ols_intercept`` is the fitted regression intercept, exposed for
-    reference but excluded from the sixteen-field vector: the ``intercept``
-    field is defined as the first observed value of the series.
+    The ``intercept`` field is the first observed value of the series, not
+    the fitted regression intercept.
     """
 
     mean: float
@@ -126,16 +105,15 @@ class CharacteristicVector:
     autocorrelation: float
     self_similarity: float
     chaos: float
-    ols_intercept: float = 0.0
     flags: tuple[str, ...] = field(default=())
 
     def values(self) -> np.ndarray:
         """The sixteen fields as a vector, in ``COLUMNS`` order."""
-        return np.array([getattr(self, a) for a in _ATTRS], dtype=float)
+        return np.array([getattr(self, c.lower()) for c in COLUMNS], dtype=float)
 
     def as_dict(self) -> dict[str, float]:
         """The sixteen fields keyed by their column names."""
-        return {c: float(getattr(self, a)) for c, a in zip(COLUMNS, _ATTRS)}
+        return {c: float(getattr(self, c.lower())) for c in COLUMNS}
 
 
 def moments(values) -> Moments:
@@ -330,13 +308,23 @@ def chaos_lyapunov(values, config: CharacteristicsConfig | None = None) -> float
     cols = np.arange(last)[None, :]
     head = orbit[:last]
     sq_norms = (head * head).sum(axis=1)
-    block = 512
+    # Blocks of rows reuse two buffers of at most 2**16 floats (512 KiB):
+    # they stay in cache, and no block allocates, because block-sized
+    # temporaries are page-faulted in afresh each time, at a cost that
+    # varies from run to run.
+    block = max(1, min(last, 2**16 // last))
+    twice_gram, dist = np.empty((block, last)), np.empty((block, last))
     for start in range(0, last, block):
         stop = min(start + block, last)
-        gram = head[start:stop] @ head.T
-        d2 = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * gram
+        gram, d2 = twice_gram[: stop - start], dist[: stop - start]
+        np.matmul(head[start:stop], head.T, out=gram)
+        gram *= 2.0
+        np.add(sq_norms[start:stop, None], sq_norms[None, :], out=d2)
+        d2 -= gram
+        # only columns within `theiler` of the block's rows can be masked
+        lo, hi = max(0, start - theiler), min(last, stop + theiler)
         rows = np.arange(start, stop)[:, None]
-        d2[np.abs(rows - cols) <= theiler] = np.inf
+        d2[:, lo:hi][np.abs(rows - cols[:, lo:hi]) <= theiler] = np.inf
         d2[d2 <= tol2] = np.inf
         nearest = np.argmin(d2, axis=1)
         finite = np.isfinite(d2[np.arange(stop - start), nearest])
@@ -393,7 +381,6 @@ def compute_characteristics(series, config: CharacteristicsConfig | None = None)
         flags.append("zero_variance")
     q = quantiles(values)
     trend = linear_trend(values)
-    _, ols_icpt = ols_line(values)
 
     if mom.standard_deviation == 0.0:
         acf = 0.0
@@ -429,6 +416,5 @@ def compute_characteristics(series, config: CharacteristicsConfig | None = None)
         autocorrelation=acf,
         self_similarity=dfa,
         chaos=lyap,
-        ols_intercept=ols_icpt,
         flags=tuple(flags),
     )

@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .clustering import assemble_features, select_k_and_cluster, standardize
+from .clustering import assemble_features
 from .config import ALL_METRICS, RunConfig, load_config
 from .errors import CoinclustError, NoSeriesLoadedError
 from .ingest import Dataset, Metric, build_dataset, load_profiles, source_url
-from .report import emit_plots, report_run
+from .report import MetricSection, analyze_metric, emit_plots, report_run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="delay-embedding lag (default 1)")
         p.add_argument("--lyap-fit-steps", dest="lyapunov_max_fit_steps", type=int,
                        help="divergence-fit extent (default min(20, n/50))")
-        p.add_argument("--workers", type=int, help="feature-extraction worker pool size (default 4)")
         p.add_argument("--out", dest="output_dir", help="output directory (default ./out)")
 
     p_feat = sub.add_parser("features", help="write per-coin feature CSVs")
@@ -74,15 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "data_dir", "profiles_path", "metrics", "spectrum_bins", "k_max", "seed", "sigma",
-    "min_series_len", "dfa_min_window", "dfa_max_window_frac", "embedding_dim",
-    "embedding_delay", "lyapunov_max_fit_steps", "workers", "output_dir",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS}
     return load_config(args.config, overrides)
 
 
@@ -109,15 +105,23 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _write_clusters_json(section: MetricSection, out: Path) -> Path:
+    """Write ``clusters.<metric>.json``: the assignment plus the coins left out."""
+    payload = section.assignment.as_dict()
+    payload["excluded"] = section.excluded
+    payload["missing"] = section.missing
+    path = out / f"clusters.{section.metric}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
 def cmd_features(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     datasets, notes = build_datasets(cfg)
     for note in notes:
         print(f"note: {note}")
     for name, dataset in sorted(datasets.items()):
-        matrix = assemble_features(
-            dataset, cfg.spectrum_bins, cfg.characteristics(), workers=cfg.workers
-        )
+        matrix = assemble_features(dataset, cfg.spectrum_bins, cfg.characteristics())
         path = out / f"features.{name}.csv"
         lines = ["coin_id," + ",".join(matrix.column_names)]
         for coin_id, row in zip(matrix.coin_ids, matrix.rows):
@@ -133,19 +137,11 @@ def cmd_cluster(cfg: RunConfig, args) -> int:
     datasets, notes = build_datasets(cfg)
     for note in notes:
         print(f"note: {note}")
-    for name, dataset in sorted(datasets.items()):
-        matrix = assemble_features(
-            dataset, cfg.spectrum_bins, cfg.characteristics(), workers=cfg.workers
-        )
-        assignment = select_k_and_cluster(
-            standardize(matrix), k_max=cfg.k_max, seed=cfg.seed, sigma=cfg.sigma
-        )
-        payload = assignment.as_dict()
-        payload["excluded"] = matrix.excluded
-        payload["missing"] = dataset.missing
-        path = out / f"clusters.{name}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        sizes = [len(c["coins"]) for c in payload["clusters"]]
+    for name in sorted(datasets):
+        section = analyze_metric(datasets[name], cfg)
+        path = _write_clusters_json(section, out)
+        assignment = section.assignment
+        sizes = [len(c) for c in assignment.clusters()]
         print(f"{path}: k={assignment.k} sizes={sizes} flags={list(assignment.flags)}")
     return 0
 
@@ -161,11 +157,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
             print(f"{name}: failed ({section.error})")
             continue
         emit_plots(section.projection, section.assignment, out)
-        payload = section.assignment.as_dict()
-        payload["excluded"] = section.excluded
-        payload["missing"] = section.missing
-        path = out / f"clusters.{name}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_clusters_json(section, out)
         print(f"{name}: k={section.assignment.k} " +
               " ".join(f"purity[{a}]={v:.2f}" for a, v in sorted(section.crosstab.purity.items())))
     for note in notes:

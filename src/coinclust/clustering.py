@@ -11,13 +11,12 @@ contain at least two coins.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .characteristics import COLUMNS, CharacteristicsConfig, compute_characteristics
-from .errors import DegenerateGeometryError, EigenFailureError, NoUsableCoinsError
+from .errors import CoinclustError, DegenerateGeometryError, EigenFailureError, NoUsableCoinsError
 from .ingest import Dataset
 from .spectrum import DEFAULT_BINS, bin_names, spectrum_feature
 
@@ -80,53 +79,32 @@ def assemble_features(
     dataset: Dataset,
     k_bins: int = DEFAULT_BINS,
     config: CharacteristicsConfig | None = None,
-    workers: int = 1,
 ) -> FeatureMatrix:
-    """One row per coin: 16 characteristics then K spectrum bins.
+    """One row per coin, in sorted coin order: 16 characteristics then K
+    spectrum bins.
 
-    Coins whose features cannot be computed are excluded and recorded in
-    ``excluded`` rather than failing the whole batch.  Per-coin computation
-    is pure, so a worker pool may be used; rows are always assembled in
-    sorted coin order, making the result schedule-independent.
+    Coins whose data cannot yield features (a ``CoinclustError``) are
+    excluded and recorded in ``excluded`` rather than failing the whole
+    batch; any other exception is a parameter or programming error and
+    propagates.
     """
-    coins = dataset.coin_ids()
-
-    def one(coin_id: str):
-        series = dataset.series[coin_id]
-        vec = compute_characteristics(series, config)
-        spec = spectrum_feature(series, k_bins)
-        return vec, spec
-
-    results: dict[str, tuple] = {}
-    failures: dict[str, str] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {coin_id: pool.submit(one, coin_id) for coin_id in coins}
-        for coin_id, fut in futures.items():
-            try:
-                results[coin_id] = fut.result()
-            except Exception as exc:
-                failures[coin_id] = str(exc)
-    else:
-        for coin_id in coins:
-            try:
-                results[coin_id] = one(coin_id)
-            except Exception as exc:
-                failures[coin_id] = str(exc)
-
     coin_ids: list[str] = []
     rows: list[np.ndarray] = []
+    excluded: dict[str, str] = {}
     coin_flags: dict[str, tuple[str, ...]] = {}
-    for coin_id in coins:
-        if coin_id not in results:
+    for coin_id in dataset.coin_ids():
+        series = dataset.series[coin_id]
+        try:
+            vec = compute_characteristics(series, config)
+            spec = spectrum_feature(series, k_bins)
+        except CoinclustError as exc:
+            excluded[coin_id] = str(exc)
             continue
-        vec, spec = results[coin_id]
         flags = vec.flags + (("zero_signal",) if spec.degenerate else ())
         if flags:
             coin_flags[coin_id] = flags
         coin_ids.append(coin_id)
         rows.append(np.concatenate([vec.values(), spec.bins]))
-    excluded = failures
     if not rows:
         raise NoUsableCoinsError(f"no coin produced features for {dataset.metric.value}")
     return FeatureMatrix(

@@ -34,7 +34,6 @@ class RunConfig:
     embedding_dim: int = 3
     embedding_delay: int = 1
     lyapunov_max_fit_steps: int | None = None
-    workers: int = 4
     output_dir: str = "out"
 
     def resolved_profiles_path(self) -> Path:

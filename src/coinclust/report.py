@@ -266,9 +266,7 @@ class RunReport:
 def analyze_metric(dataset: Dataset, config: RunConfig) -> MetricSection:
     """Features, clustering, crosstab and projection for one metric."""
     section = MetricSection(metric=dataset.metric.value, missing=list(dataset.missing))
-    features = assemble_features(
-        dataset, config.spectrum_bins, config.characteristics(), workers=config.workers
-    )
+    features = assemble_features(dataset, config.spectrum_bins, config.characteristics())
     section.excluded = dict(features.excluded)
     standardized = standardize(features)
     assignment = select_k_and_cluster(

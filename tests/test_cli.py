@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from coinclust.cli import main
+from coinclust.cli import build_parser, main
 from coinclust.characteristics import COLUMNS
+from coinclust.config import RunConfig
 from coinclust.spectrum import bin_names
 
 from conftest import FIXTURE_DIR
@@ -119,16 +121,27 @@ def test_help_documents_config_fields(capsys):
     text = capsys.readouterr().out
     for flag in ("--data-dir", "--profiles", "--metric", "--bins", "--k-max", "--seed",
                  "--sigma", "--min-series-len", "--dfa-min-window", "--embedding-dim",
-                 "--workers", "--out"):
+                 "--out"):
         assert flag in text
 
 
-def test_workers_do_not_change_output(tmp_path, snapshot_dir):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["features", "--data-dir", str(snapshot_dir), "--metric", "block_time_minutes",
-                "--workers", "1", "--out", str(out1)]) == 0
-    assert run(["features", "--data-dir", str(snapshot_dir), "--metric", "block_time_minutes",
-                "--workers", "6", "--out", str(out2)]) == 0
-    a = (out1 / "features.block_time_minutes.csv").read_bytes()
-    b = (out2 / "features.block_time_minutes.csv").read_bytes()
-    assert a == b
+def test_every_config_field_is_a_report_flag():
+    args = build_parser().parse_args(["report"])
+    assert {f.name for f in fields(RunConfig)} <= set(vars(args))
+
+
+def test_cluster_and_report_write_identical_clusters_json(tmp_path, snapshot_dir):
+    out1, out2 = tmp_path / "cluster", tmp_path / "report"
+    for command, out in (("cluster", out1), ("report", out2)):
+        assert run([command, "--data-dir", str(snapshot_dir), "--metric", "price_usd",
+                    "--out", str(out)]) == 0
+    assert (out1 / "clusters.price_usd.json").read_bytes() == (out2 / "clusters.price_usd.json").read_bytes()
+
+
+def test_parameter_error_is_not_hidden_as_excluded_coins(tmp_path, snapshot_dir, capsys):
+    code = run(["features", "--data-dir", str(snapshot_dir), "--metric", "price_usd",
+                "--bins", "1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "need at least 2 bins" in err
+    assert "no coin produced features" not in err

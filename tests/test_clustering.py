@@ -3,6 +3,7 @@ import pytest
 
 from coinclust.clustering import (
     FeatureMatrix,
+    assemble_features,
     kmeans,
     select_k_and_cluster,
     similarity_matrix,
@@ -10,7 +11,9 @@ from coinclust.clustering import (
     standardize,
 )
 from coinclust.errors import DegenerateGeometryError, NoUsableCoinsError
+from coinclust.ingest import Dataset, Metric
 
+from conftest import make_series, random_walk
 from oracles import co_membership, kmeans_exhaustive, laplacian_eig_dense, similarity_double_loop
 
 
@@ -275,3 +278,18 @@ def test_assignment_serialization_shape():
     assert d["k"] == 5 and d["seed"] == 42
     assert sum(len(c["coins"]) for c in d["clusters"]) == 18
     assert len(d["eigenvalues"]) == 6
+
+
+# --- feature assembly ---------------------------------------------------------------
+
+def test_short_series_excluded_with_reason():
+    # 150 days pass ingest and the fluctuation analysis but not the 200-day
+    # divergence-rate floor.
+    series = {f"long{i}": make_series(random_walk(400, seed=i, start=100.0), coin_id=f"long{i}")
+              for i in range(4)}
+    series["short"] = make_series(random_walk(150, seed=9, start=100.0), coin_id="short")
+    matrix = assemble_features(Dataset(metric=Metric.PRICE, series=series, profiles={}), k_bins=16)
+    assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]
+    assert list(matrix.excluded) == ["short"]
+    assert matrix.excluded["short"].startswith("chaos:")
+    assert matrix.rows.shape == (4, 16 + 16)
