@@ -267,17 +267,91 @@ def _mean_period(x: np.ndarray) -> int:
     return max(1, int(np.ceil(1.0 / mean_freq)))
 
 
+def nearest_outside_window(points: np.ndarray, theiler: int, tol2: float) -> np.ndarray:
+    """Each point's nearest neighbour more than ``theiler`` rows away, or -1.
+
+    The distance is the squared direct difference sum_k (p_ik - p_jk)**2,
+    summed over k left to right.  Candidates at a squared distance
+    <= ``tol2`` are excluded, and the lowest index wins a tie.
+
+    A screen gives approximate squared distances for a block of rows by
+    one matrix product of the augmented points [p, 1, |p|^2] and
+    [-2p, |p|^2, 1].  For m coordinates, a screened and a direct squared
+    distance differ by at most E = (5m + 8) * 2**-53 * (|p_i|^2 +
+    max_j |p_j|^2), from the dot-product and summation error bounds
+    (Higham 2002, section 3.1).  When a row's second-smallest screened
+    value exceeds its smallest by more than 4E, twice the 2E two such
+    errors can close, the smallest is the row's unique nearest candidate
+    by direct difference; it is taken when its direct distance exceeds
+    ``tol2``.  Every other row (ties, near-ties, duplicates, no candidate)
+    is settled by direct differences.  Blocks hold at most 2**16 floats in
+    buffers allocated once per call, the second only for rows left open:
+    they stay in cache, and no block page-faults fresh temporaries in.
+    """
+    n, m = points.shape
+    sq = (points * points).sum(axis=1)
+    coords = np.ascontiguousarray(points.T)
+    lhs = np.column_stack([points, np.ones(n), sq])
+    rhs = np.vstack([-2.0 * coords, sq, np.ones(n)])  # C order: the fast BLAS path
+    block = max(1, min(n, 2**16 // n))
+    screen = np.empty((block, n))
+    at = np.arange(block)
+    # band[r, c]: row start + r and column start - theiler + c are too close in time
+    band = np.abs(at[:, None] + theiler - np.arange(block + 2 * theiler)) <= theiler
+    best, first, second = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        d2, rows = screen[: stop - start], at[: stop - start]
+        np.matmul(lhs[start:stop], rhs, out=d2)
+        lo, hi = max(0, start - theiler), min(n, stop + theiler)
+        window = band[: stop - start, lo - start + theiler : hi - start + theiler]
+        np.copyto(d2[:, lo:hi], np.inf, where=window)
+        nearest = np.argmin(d2, axis=1, out=best[start:stop])
+        first[start:stop] = d2[rows, nearest]
+        d2[rows, nearest] = np.inf
+        np.min(d2, axis=1, out=second[start:stop])
+
+    slack = 4 * (5 * m + 8) * 2.0**-53 * (sq + sq.max())  # 4E
+    terms = points - points[best]
+    terms *= terms
+    direct = terms[:, 0].copy()
+    for k in range(1, m):
+        direct += terms[:, k]
+    settled = (second - first > slack) & (direct > tol2)
+    neighbors = np.where(settled, best, -1)
+    todo = np.flatnonzero(~settled)
+    scratch = np.empty((min(block, todo.size), n))  # empty unless a row is left open
+    for start in range(0, todo.size, block):
+        rows = todo[start : start + block]
+        d2, term = screen[: rows.size], scratch[: rows.size]
+        np.subtract(points[rows, :1], coords[0], out=d2)
+        d2 *= d2
+        for k in range(1, m):
+            np.subtract(points[rows, k : k + 1], coords[k], out=term)
+            term *= term
+            d2 += term
+        cols = np.arange(max(0, rows[0] - theiler), min(n, rows[-1] + theiler + 1))
+        d2[:, cols[0] : cols[-1] + 1][np.abs(rows[:, None] - cols) <= theiler] = np.inf
+        d2[d2 <= tol2] = np.inf
+        nearest = np.argmin(d2, axis=1)
+        neighbors[rows] = np.where(np.isfinite(d2[at[: rows.size], nearest]), nearest, -1)
+    return neighbors
+
+
 def chaos_lyapunov(values, config: CharacteristicsConfig | None = None) -> float:
     """Largest divergence-rate exponent, Rosenstein-style, per day.
 
     The series is delay-embedded (dimension 3, delay 1 by default).  Each
-    embedded point is paired with its nearest neighbour at least one mean
-    period away in time, the pairwise distances are followed forward, and
-    the exponent is the slope of the mean log-divergence curve over its
-    initial rise.  When the curve saturates inside the fit range (it always
-    does for strongly chaotic signals), the fit stops at the step where 90%
-    of the total rise is reached; otherwise it spans steps
-    1..min(20, n/50).  Zero-variance input returns 0.
+    embedded point is paired with its nearest neighbour more than one mean
+    period away in time: the point at the smallest squared direct-difference
+    distance, the lowest index among ties, where points within 1e-9
+    standard deviations (the same trajectory to round-off) are excluded.
+    The pairwise distances are followed forward, and the exponent is the
+    slope of the mean log-divergence curve over its initial rise.  When the
+    curve saturates inside the fit range (it always does for strongly
+    chaotic signals), the fit stops at the step where 90% of the total rise
+    is reached; otherwise it spans steps 1..min(20, n/50).  Zero-variance
+    input returns 0.
     """
     cfg = config or CharacteristicsConfig()
     x = np.asarray(values, dtype=float)
@@ -303,36 +377,11 @@ def chaos_lyapunov(values, config: CharacteristicsConfig | None = None) -> float
     if last < 2:
         raise TooShortForLyapunovError("not enough points to follow divergence trajectories")
     tol2 = (1e-9 * float(np.std(x))) ** 2
-    idx = np.arange(last)
-    neighbors = np.full(last, -1)
-    cols = np.arange(last)[None, :]
-    head = orbit[:last]
-    sq_norms = (head * head).sum(axis=1)
-    # Blocks of rows reuse two buffers of at most 2**16 floats (512 KiB):
-    # they stay in cache, and no block allocates, because block-sized
-    # temporaries are page-faulted in afresh each time, at a cost that
-    # varies from run to run.
-    block = max(1, min(last, 2**16 // last))
-    twice_gram, dist = np.empty((block, last)), np.empty((block, last))
-    for start in range(0, last, block):
-        stop = min(start + block, last)
-        gram, d2 = twice_gram[: stop - start], dist[: stop - start]
-        np.matmul(head[start:stop], head.T, out=gram)
-        gram *= 2.0
-        np.add(sq_norms[start:stop, None], sq_norms[None, :], out=d2)
-        d2 -= gram
-        # only columns within `theiler` of the block's rows can be masked
-        lo, hi = max(0, start - theiler), min(last, stop + theiler)
-        rows = np.arange(start, stop)[:, None]
-        d2[:, lo:hi][np.abs(rows - cols[:, lo:hi]) <= theiler] = np.inf
-        d2[d2 <= tol2] = np.inf
-        nearest = np.argmin(d2, axis=1)
-        finite = np.isfinite(d2[np.arange(stop - start), nearest])
-        neighbors[start:stop][finite] = nearest[finite]
+    neighbors = nearest_outside_window(orbit[:last], theiler, tol2)
     valid = neighbors >= 0
     if not np.any(valid):
         raise NoValidNeighborsError("no positive-distance neighbor outside the temporal window")
-    idx, nbr = idx[valid], neighbors[valid]
+    idx, nbr = np.flatnonzero(valid), neighbors[valid]
 
     log_div = np.empty(steps + 1)
     for k in range(steps + 1):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .clustering import assemble_features
 from .config import ALL_METRICS, RunConfig, load_config
-from .errors import CoinclustError, NoSeriesLoadedError
+from .errors import CoinclustError, ConfigError, NoSeriesLoadedError
 from .ingest import Dataset, Metric, build_dataset, load_profiles, source_url
 from .report import MetricSection, analyze_metric, emit_plots, report_run
 
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--embedding-delay", dest="embedding_delay", type=int,
                        help="delay-embedding lag (default 1)")
         p.add_argument("--lyap-fit-steps", dest="lyapunov_max_fit_steps", type=int,
-                       help="divergence-fit extent (default min(20, n/50))")
+                       help="divergence-fit extent, at least 3 (default min(20, n/50))")
         p.add_argument("--out", dest="output_dir", help="output directory (default ./out)")
 
     p_feat = sub.add_parser("features", help="write per-coin feature CSVs")
@@ -182,6 +182,9 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return args.func(cfg, args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CoinclustError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

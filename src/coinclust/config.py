@@ -8,15 +8,37 @@ verbatim into every report so a run can be reproduced from its output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .characteristics import CharacteristicsConfig
 from .clustering import DEFAULT_K_MAX, DEFAULT_SEED
+from .errors import ConfigError
 from .ingest import Metric
 from .spectrum import DEFAULT_BINS
 
 ALL_METRICS = [m.value for m in Metric]
+
+# Smallest accepted value of each integer field (None: any integer).
+_INT_MINIMUM = {
+    "spectrum_bins": None,  # the spectrum itself refuses fewer than 2 bins
+    "k_max": 2,
+    "seed": 0,
+    "min_series_len": 1,
+    "dfa_min_window": 3,  # a line through 2 points leaves no fluctuation
+    "embedding_dim": 1,
+    "embedding_delay": 1,
+    "lyapunov_max_fit_steps": 3,  # the divergence fit needs 3 steps
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
 @dataclass
@@ -35,6 +57,28 @@ class RunConfig:
     embedding_delay: int = 1
     lyapunov_max_fit_steps: int | None = None
     output_dir: str = "out"
+
+    def __post_init__(self):
+        """Reject wrongly typed or out-of-range values before any work starts."""
+        for name in ("data_dir", "profiles_path", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not (isinstance(self.metrics, list) and self.metrics
+                and all(m in ALL_METRICS for m in self.metrics)):
+            raise ConfigError(f"metrics must be a non-empty list drawn from {ALL_METRICS}, "
+                              f"got {self.metrics!r}")
+        for name, low in _INT_MINIMUM.items():
+            value = getattr(self, name)
+            if name == "lyapunov_max_fit_steps" and value is None:
+                continue
+            if not _is_int(value) or (low is not None and value < low):
+                bound = "" if low is None else f" >= {low}"
+                raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+        if self.sigma is not None and not (_is_real(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"sigma must be a positive number, got {self.sigma!r}")
+        if not (_is_real(self.dfa_max_window_frac) and 0 < self.dfa_max_window_frac <= 1):
+            raise ConfigError(f"dfa_max_window_frac must be a number in (0, 1], "
+                              f"got {self.dfa_max_window_frac!r}")
 
     def resolved_profiles_path(self) -> Path:
         return Path(self.profiles_path) if self.profiles_path else Path(self.data_dir) / "profiles.txt"
@@ -57,6 +101,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     values: dict = {}
     if path is not None:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{Path(path).name}: expected a JSON object of config keys")
         known = {f.name for f in fields(RunConfig)}
         unknown = set(raw) - known
         if unknown:

@@ -5,6 +5,10 @@ class CoinclustError(Exception):
     """Base class for all pipeline errors."""
 
 
+class ConfigError(CoinclustError):
+    """A run parameter has the wrong type or is out of range (a usage error)."""
+
+
 # --- ingestion ---
 
 class MalformedCsvError(CoinclustError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import enum
 import hashlib
+import io
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    CoinclustError,
     DuplicateCoinError,
     MalformedCsvError,
     MissingProfileError,
@@ -138,6 +140,14 @@ class Dataset:
         return sorted(self.series)
 
 
+def _read_utf8(path: Path, error: type[CoinclustError]) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``error`` naming the file."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LEN) -> Series:
     """Load and validate one series CSV.
 
@@ -149,34 +159,33 @@ def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LE
     dates: list[date] = []
     values: list[float] = []
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read_utf8(path, MalformedCsvError), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedCsvError(f"{path.name}: empty file") from None
+    if [h.strip().lower() for h in header] != ["date", "value"]:
+        raise MalformedCsvError(f"{path.name}: expected header 'date,value', got {header!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise MalformedCsvError(f"{path.name}:{lineno}: expected 2 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsvError(f"{path.name}: empty file") from None
-        if [h.strip().lower() for h in header] != ["date", "value"]:
-            raise MalformedCsvError(f"{path.name}: expected header 'date,value', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise MalformedCsvError(f"{path.name}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                day = date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise MalformedCsvError(f"{path.name}:{lineno}: bad date {row[0]!r}") from None
-            raw = row[1].strip()
-            try:
-                value = float(raw)
-            except ValueError:
-                dropped += 1
-                continue
-            if not np.isfinite(value):
-                dropped += 1
-                continue
-            dates.append(day)
-            values.append(value)
+            day = date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise MalformedCsvError(f"{path.name}:{lineno}: bad date {row[0]!r}") from None
+        raw = row[1].strip()
+        try:
+            value = float(raw)
+        except ValueError:
+            dropped += 1
+            continue
+        if not np.isfinite(value):
+            dropped += 1
+            continue
+        dates.append(day)
+        values.append(value)
     series = Series(coin_id=coin_id, metric=metric, dates=dates, values=values, drop_count=dropped)
     series.validate(min_len=min_len)
     return series
@@ -277,19 +286,18 @@ def load_profiles(path) -> dict[str, MechanismProfile]:
         profiles[profile.coin_id] = profile
         block.clear()
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                flush()
-                continue
-            if ":" not in line:
-                raise ProfileParseError(f"{path.name}:{lineno}: expected 'key: value'")
-            key, _, value = line.partition(":")
-            key, value = key.strip(), value.strip()
-            if key in block:
-                raise ProfileParseError(f"{path.name}:{lineno}: repeated key {key!r} in block")
-            block[key] = value
+    for lineno, raw in enumerate(io.StringIO(_read_utf8(path, ProfileParseError), newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            flush()
+            continue
+        if ":" not in line:
+            raise ProfileParseError(f"{path.name}:{lineno}: expected 'key: value'")
+        key, _, value = line.partition(":")
+        key, value = key.strip(), value.strip()
+        if key in block:
+            raise ProfileParseError(f"{path.name}:{lineno}: repeated key {key!r} in block")
+        block[key] = value
     flush()
     return profiles
 
@@ -312,7 +320,7 @@ def build_dataset(series_dir, profiles_path, metric: Metric, min_len: int = MIN_
             raise MissingProfileError(f"{path.name}: no profile for coin {coin_id!r}")
         try:
             series[coin_id] = load_series(path, coin_id, metric, min_len=min_len)
-        except Exception as exc:
+        except CoinclustError as exc:
             raise type(exc)(f"{path.name}: {exc}") from exc
         fingerprints[path.name] = _sha256(path)
     if not series:

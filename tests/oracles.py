@@ -160,6 +160,28 @@ def lyapunov_naive(values, emb_dim=3, delay=1, steps=None, theiler=None):
     return float(slope)
 
 
+def nearest_outside_window_naive(points, theiler, tol2):
+    """Nearest neighbour of each point more than `theiler` rows away.
+
+    Distances are squared direct differences summed left to right;
+    candidates at a squared distance <= tol2 are skipped, the lowest index
+    wins a tie, and a point without a candidate gets -1."""
+    pts = [[float(v) for v in row] for row in points]
+    nearest = []
+    for i, p in enumerate(pts):
+        best, best_d2 = -1, math.inf
+        for j, q in enumerate(pts):
+            if abs(i - j) <= theiler:
+                continue
+            d2 = 0.0
+            for a, b in zip(p, q):
+                d2 += (a - b) * (a - b)
+            if tol2 < d2 < best_d2:
+                best, best_d2 = j, d2
+        nearest.append(best)
+    return nearest
+
+
 # --- clustering oracles ----------------------------------------------------------
 
 def similarity_double_loop(rows, sigma):

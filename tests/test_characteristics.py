@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,7 @@ from coinclust.characteristics import (
     compute_characteristics,
     linear_trend,
     moments,
+    nearest_outside_window,
     ols_line,
     quantiles,
     self_similarity_dfa,
@@ -16,7 +22,15 @@ from coinclust.characteristics import (
 from coinclust.errors import TooShortForDfaError, TooShortForLyapunovError
 
 from conftest import make_series, random_walk, white_noise
-from oracles import acf1_direct, dfa_naive, lyapunov_naive, moments_direct, ols_direct, quantile_sorted
+from oracles import (
+    acf1_direct,
+    dfa_naive,
+    lyapunov_naive,
+    moments_direct,
+    nearest_outside_window_naive,
+    ols_direct,
+    quantile_sorted,
+)
 
 
 # --- moments ---------------------------------------------------------------
@@ -173,19 +187,40 @@ def test_dfa_noise_below_walk(seed):
 
 # --- chaos (largest divergence rate) --------------------------------------------------
 
-def test_lyapunov_logistic_map():
-    x = np.empty(5_000)
-    x[0] = 0.4
-    for i in range(1, x.size):
+def logistic_map(n, x0=0.4):
+    x = np.empty(n)
+    x[0] = x0
+    for i in range(1, n):
         x[i] = 4.0 * x[i - 1] * (1.0 - x[i - 1])
-    got = chaos_lyapunov(x)
+    return x
+
+
+def period_20_sine(n):
+    return np.sin(2 * np.pi * np.arange(n) / 20.0 + 0.3)
+
+
+def block_times(n, seed=5):
+    """Minutes between blocks: a 10-minute target plus an exponential delay,
+    rounded to 0.1 min."""
+    return np.round(10.0 + np.random.default_rng(seed).exponential(1.0, n), 1)
+
+
+def stablecoin_price(n, seed=6):
+    """A $1 peg that holds exactly on most days and drifts by cents on a few."""
+    rng = np.random.default_rng(seed)
+    x = np.ones(n)
+    drift = rng.random(n) < 0.25
+    x[drift] += np.round(rng.normal(0.0, 0.003, drift.sum()), 4)
+    return x
+
+
+def test_lyapunov_logistic_map():
+    got = chaos_lyapunov(logistic_map(5_000))
     assert got == pytest.approx(np.log(2.0), abs=0.1)
 
 
 def test_lyapunov_sine_near_zero():
-    t = np.arange(2_000)
-    x = np.sin(2 * np.pi * t / 20.0 + 0.3)
-    assert abs(chaos_lyapunov(x)) < 0.02
+    assert abs(chaos_lyapunov(period_20_sine(2_000))) < 0.02
 
 
 def test_lyapunov_random_walk_positive_and_matches_oracle():
@@ -199,6 +234,59 @@ def test_lyapunov_random_walk_positive_and_matches_oracle():
 def test_lyapunov_too_short():
     with pytest.raises(TooShortForLyapunovError):
         chaos_lyapunov(white_noise(150, seed=0))
+
+
+# --- nearest neighbour outside the temporal window --------------------------------------
+
+NEIGHBOR_CASES = {
+    "random_walk": lambda: random_walk(600, seed=11),
+    "logistic_map": lambda: logistic_map(600),
+    "period_20_sine": lambda: period_20_sine(600),
+    "block_times": lambda: block_times(600),
+    "stablecoin": lambda: stablecoin_price(600),
+}
+
+
+def delay_embedding(x, dim=3):
+    return np.column_stack([x[i : x.size - dim + 1 + i] for i in range(dim)])
+
+
+@pytest.mark.parametrize("case", sorted(NEIGHBOR_CASES))
+def test_neighbor_search_matches_naive_oracle(case):
+    x = NEIGHBOR_CASES[case]()
+    points = delay_embedding(x)
+    tol2 = (1e-9 * float(np.std(x))) ** 2
+    got = nearest_outside_window(points, 10, tol2)
+    assert got.tolist() == nearest_outside_window_naive(points, 10, tol2)
+
+
+def test_neighbor_search_row_without_valid_neighbor():
+    points = np.ones((100, 3))
+    points[45:56] = np.random.default_rng(0).normal(size=(11, 3))
+    points[50] = 1.0  # everything more than 10 rows away duplicates it
+    got = nearest_outside_window(points, 10, 1e-18)
+    assert got[50] == -1
+    assert got.tolist() == nearest_outside_window_naive(points, 10, 1e-18)
+
+
+@pytest.mark.parametrize("case", ["period_20_sine", "stablecoin"])
+def test_lyapunov_tied_series_match_oracle(case):
+    x = NEIGHBOR_CASES[case]()
+    assert chaos_lyapunov(x) == pytest.approx(lyapunov_naive(x), rel=1e-8)
+
+
+def test_chaos_after_cli_import_leaves_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import coinclust.cli\n"
+        "from coinclust.characteristics import chaos_lyapunov\n"
+        "chaos_lyapunov(np.cumsum(np.random.default_rng(0).standard_normal(400)))\n"
+        "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # --- assembled vector ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from coinclust.cli import build_parser, main
 from coinclust.characteristics import COLUMNS
 from coinclust.config import RunConfig
+from coinclust.errors import ConfigError
 from coinclust.spectrum import bin_names
 
 from conftest import FIXTURE_DIR
@@ -145,3 +146,45 @@ def test_parameter_error_is_not_hidden_as_excluded_coins(tmp_path, snapshot_dir,
     err = capsys.readouterr().err
     assert "need at least 2 bins" in err
     assert "no coin produced features" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sigma", "0"],
+    ["--embedding-delay", "0"],
+    ["--lyap-fit-steps", "-1"],
+    ["--embedding-dim", "0"],
+], ids=["sigma_0", "embedding_delay_0", "lyap_fit_steps_negative", "embedding_dim_0"])
+def test_out_of_range_parameter_is_usage_error(tmp_path, snapshot_dir, capsys, flags):
+    code = run(["cluster", "--data-dir", str(snapshot_dir), "--metric", "price_usd",
+                *flags, "--out", str(tmp_path)])
+    assert code == 2
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "clusters.price_usd.json").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"metrics": ["price_usd"], "k_max": "6"}, "k_max must be an integer"),
+    (["price_usd"], "expected a JSON object"),
+], ids=["k_max_string", "not_an_object"])
+def test_config_file_wrong_type_is_usage_error(tmp_path, snapshot_dir, capsys, content, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(content))
+    assert run(["cluster", "--config", str(cfg_path), "--data-dir", str(snapshot_dir),
+                "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k_max", 1), ("k_max", True), ("seed", -1), ("sigma", float("nan")), ("sigma", "1"),
+    ("dfa_min_window", 2), ("dfa_max_window_frac", 0.0), ("lyapunov_max_fit_steps", 2),
+    ("metrics", "price_usd"), ("metrics", []), ("data_dir", 5),
+])
+def test_run_config_rejects_bad_value(field, value):
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_run_config_defaults_and_edges_accepted():
+    RunConfig()
+    RunConfig(sigma=1, k_max=2, seed=0, dfa_min_window=3, dfa_max_window_frac=1,
+              embedding_dim=1, lyapunov_max_fit_steps=3, spectrum_bins=1)

@@ -11,6 +11,7 @@ from coinclust.errors import (
     NoSeriesLoadedError,
     NonMonotoneDatesError,
     NonPositiveValueError,
+    ProfileParseError,
     TooShortError,
     UnknownEnumTokenError,
 )
@@ -25,6 +26,8 @@ from coinclust.ingest import (
     source_url,
     write_series,
 )
+
+from coinclust.cli import main
 
 from conftest import make_series
 
@@ -261,6 +264,24 @@ def test_build_dataset_error_has_file_attribution(tmp_path):
     (tmp_path / "profiles.txt").write_text(profiles, encoding="utf-8")
     with pytest.raises(NonMonotoneDatesError, match="bad.price_usd.csv"):
         build_dataset(tmp_path, tmp_path / "profiles.txt", Metric.PRICE)
+
+
+def test_build_dataset_non_utf8_series_names_file(tmp_path, capsys):
+    _write_snapshot(tmp_path, ["good", "latin"])
+    path = tmp_path / f"latin.{Metric.PRICE.value}.csv"
+    path.write_bytes(path.read_bytes().replace(b"2019-01-05,", b"2019-01-05,\xe9"))
+    with pytest.raises(MalformedCsvError, match="latin.price_usd.csv: .*not UTF-8"):
+        build_dataset(tmp_path, tmp_path / "profiles.txt", Metric.PRICE)
+    assert main(["features", "--data-dir", str(tmp_path), "--metric", "price_usd",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "latin.price_usd.csv" in capsys.readouterr().err
+
+
+def test_profiles_non_utf8_names_file(tmp_path):
+    p = tmp_path / "profiles.txt"
+    p.write_bytes(PROFILE_BLOCK.format(coin="x").encode("utf-8") + b"# caf\xe9\n")
+    with pytest.raises(ProfileParseError, match="profiles.txt: not UTF-8"):
+        load_profiles(p)
 
 
 def test_source_url_convention():
