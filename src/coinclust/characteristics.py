@@ -43,19 +43,22 @@ COLUMNS = (
     "chaos",
 )
 
+# Shortest series the fluctuation analysis and the divergence rate accept,
+# and the number of log-spaced window sizes the fluctuation analysis tries.
+MIN_DFA_LEN = 100
+DFA_WINDOW_CANDIDATES = 20
+MIN_LYAPUNOV_LEN = 200
+
+
 @dataclass
 class CharacteristicsConfig:
     """Estimator parameters, all overridable from the CLI."""
 
-    min_dfa_len: int = 100
     dfa_min_window: int = 4
     dfa_max_window_frac: float = 0.25
-    dfa_window_candidates: int = 20
-    min_lyapunov_len: int = 200
     embedding_dim: int = 3
     embedding_delay: int = 1
     lyapunov_max_fit_steps: int | None = None  # default min(20, n // 50)
-    lyapunov_theiler: int | None = None        # default: one mean period
 
 
 class Moments(NamedTuple):
@@ -226,13 +229,13 @@ def self_similarity_dfa(values, config: CharacteristicsConfig | None = None) -> 
     cfg = config or CharacteristicsConfig()
     x = np.asarray(values, dtype=float)
     n = x.size
-    if n < cfg.min_dfa_len:
-        raise TooShortForDfaError(f"need >= {cfg.min_dfa_len} observations, got {n}")
+    if n < MIN_DFA_LEN:
+        raise TooShortForDfaError(f"need >= {MIN_DFA_LEN} observations, got {n}")
     profile = np.cumsum(x - np.mean(x))
     if np.all(profile == 0.0):
         return 0.0
     s_max = int(n * cfg.dfa_max_window_frac)
-    scales = _log_spaced_windows(cfg.dfa_min_window, s_max, cfg.dfa_window_candidates)
+    scales = _log_spaced_windows(cfg.dfa_min_window, s_max, DFA_WINDOW_CANDIDATES)
     log_s, log_f = [], []
     for s in scales:
         nwin = n // s
@@ -356,8 +359,8 @@ def chaos_lyapunov(values, config: CharacteristicsConfig | None = None) -> float
     cfg = config or CharacteristicsConfig()
     x = np.asarray(values, dtype=float)
     n = x.size
-    if n < cfg.min_lyapunov_len:
-        raise TooShortForLyapunovError(f"need >= {cfg.min_lyapunov_len} observations, got {n}")
+    if n < MIN_LYAPUNOV_LEN:
+        raise TooShortForLyapunovError(f"need >= {MIN_LYAPUNOV_LEN} observations, got {n}")
     if np.ptp(x) == 0.0:
         return 0.0
 
@@ -367,8 +370,7 @@ def chaos_lyapunov(values, config: CharacteristicsConfig | None = None) -> float
     steps = max(3, min(steps, n_points - 2))
 
     orbit = np.column_stack([x[i * tau : i * tau + n_points] for i in range(m)])
-    theiler = cfg.lyapunov_theiler if cfg.lyapunov_theiler is not None else _mean_period(x)
-    theiler = max(1, min(theiler, (n_points - steps - 2) // 4))
+    theiler = max(1, min(_mean_period(x), (n_points - steps - 2) // 4))
 
     # Pairs must be followable for `steps` steps.  Candidates closer than
     # round-off scale are numerically identical trajectories and carry no

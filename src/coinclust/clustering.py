@@ -23,6 +23,7 @@ from .spectrum import DEFAULT_BINS, bin_names, spectrum_feature
 DEFAULT_K_MAX = 6
 DEFAULT_SEED = 42
 KMEANS_RESTARTS = 50
+KMEANS_MAX_ITER = 100
 
 
 @dataclass
@@ -33,7 +34,6 @@ class FeatureMatrix:
     rows: np.ndarray
     column_names: list[str]
     metric: str = ""
-    standardization: tuple[np.ndarray, np.ndarray] | None = None  # (mean, sd) per column
     dropped_columns: list[str] = field(default_factory=list)
     excluded: dict[str, str] = field(default_factory=dict)
     coin_flags: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -45,12 +45,11 @@ class FeatureMatrix:
 
 @dataclass
 class ClusterAssignment:
-    """Coin-to-cluster map with the embedding that produced it."""
+    """Coin-to-cluster map with the Laplacian eigenvalues behind it."""
 
     coin_ids: list[str]
     labels: list[int]
     k: int
-    embedding: np.ndarray
     eigenvalues: np.ndarray
     seed: int
     metric: str = ""
@@ -132,7 +131,6 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
         rows=z,
         column_names=[c for c, k in zip(matrix.column_names, keep) if k],
         metric=matrix.metric,
-        standardization=(mean[keep], sd[keep]),
         dropped_columns=[c for c, k in zip(matrix.column_names, keep) if not k],
         excluded=dict(matrix.excluded),
         coin_flags=dict(matrix.coin_flags),
@@ -144,11 +142,13 @@ def similarity_matrix(rows: np.ndarray, sigma: float | None = None) -> np.ndarra
 
     The bandwidth defaults to the median of the pairwise Euclidean
     distances, which is scale-stable and parameter-free.  The diagonal is
-    zero by the usual graph convention.
+    zero by the usual graph convention.  Squared distances are direct
+    differences, one row at a time, so memory stays O(m^2 + m*D) and the
+    matrix is exactly symmetric.
     """
     x = np.asarray(rows, dtype=float)
     m = x.shape[0]
-    sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    sq = np.array([((x - row) ** 2).sum(axis=1) for row in x])
     if sigma is None:
         dists = np.sqrt(sq[np.triu_indices(m, k=1)])
         sigma = float(np.median(dists))
@@ -181,25 +181,24 @@ def laplacian_eigendecomposition(similarity: np.ndarray) -> tuple[np.ndarray, np
         raise EigenFailureError(str(exc)) from exc
 
 
-def spectral_embed(similarity: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def spectral_embed(eigvecs: np.ndarray, k: int) -> np.ndarray:
     """Row-normalized eigenvector embedding of the symmetric Laplacian.
 
-    The k eigenvectors of the smallest eigenvalues become coordinates and
-    each row is scaled to unit length.  Returns (embedding, all eigenvalues
-    ascending).
+    ``eigvecs`` are the Laplacian eigenvectors in ascending eigenvalue
+    order, as ``laplacian_eigendecomposition`` returns them.  The first k
+    become coordinates and each row is scaled to unit length.
     """
-    m = np.asarray(similarity).shape[0]
+    m = eigvecs.shape[0]
     if not 2 <= k < m:
         raise ValueError(f"need 2 <= k < m, got k={k}, m={m}")
-    eigvals, eigvecs = laplacian_eigendecomposition(similarity)
     coords = eigvecs[:, :k].copy()
     norms = np.linalg.norm(coords, axis=1)
     safe = norms > 1e-12
     coords[safe] /= norms[safe, None]
-    return coords, eigvals
+    return coords
 
 
-def _kmeans_single(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100):
+def _kmeans_single(points: np.ndarray, k: int, rng: np.random.Generator):
     m = points.shape[0]
     # k-means++ seeding
     centers = np.empty((k, points.shape[1]))
@@ -208,16 +207,14 @@ def _kmeans_single(points: np.ndarray, k: int, rng: np.random.Generator, max_ite
     closest = ((points - centers[0]) ** 2).sum(axis=1)
     for c in range(1, k):
         total = closest.sum()
-        if total > 0.0:
-            idx = int(rng.choice(m, p=closest / total))
-        else:
-            chosen = {tuple(centers[i]) for i in range(c)}
-            idx = next(i for i in range(m) if tuple(points[i]) not in chosen)
+        # total 0: every point sits on a chosen centre, so any point repeats
+        # one; the empty-cluster repair below hands each cluster a point.
+        idx = int(rng.choice(m, p=closest / total)) if total > 0.0 else c
         centers[c] = points[idx]
         closest = np.minimum(closest, ((points - centers[c]) ** 2).sum(axis=1))
 
     labels = np.full(m, -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(dist, axis=1)
         for c in range(k):
@@ -237,7 +234,7 @@ def _kmeans_single(points: np.ndarray, k: int, rng: np.random.Generator, max_ite
     return labels, float(dist.sum())
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = DEFAULT_SEED, restarts: int = KMEANS_RESTARTS):
+def kmeans(points: np.ndarray, k: int, seed: int = DEFAULT_SEED):
     """Deterministic k-means: k-means++ starts, fixed per-restart streams,
     best inertia wins with ties broken by the lowest restart index.
 
@@ -248,7 +245,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = DEFAULT_SEED, restarts: int =
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         labels, inertia = _kmeans_single(points, k, rng)
         if inertia < best_inertia:
@@ -293,30 +290,24 @@ def select_k_and_cluster(
             coin_ids=list(matrix.coin_ids),
             labels=labels,
             k=2,
-            embedding=np.zeros((m, 2)),
             eigenvalues=np.zeros(3),
             seed=seed,
             metric=matrix.metric,
             flags=("degenerate_geometry",),
         )
 
-    fallback = None
+    eigvals, eigvecs = laplacian_eigendecomposition(sim)
     for k in range(k_max, 1, -1):
-        coords, eigvals = spectral_embed(sim, k)
-        labels, _ = kmeans(coords, k, seed=seed)
-        sizes = np.bincount(labels, minlength=k)
-        assignment = ClusterAssignment(
-            coin_ids=list(matrix.coin_ids),
-            labels=_canonical_labels(matrix.coin_ids, labels, k),
-            k=k,
-            embedding=coords,
-            eigenvalues=eigvals[: k + 1],
-            seed=seed,
-            metric=matrix.metric,
-        )
-        if sizes.min() >= 2:
-            return assignment
-        if k == 2:
-            fallback = assignment
-    fallback.flags = ("no_singleton_unsatisfiable",)
-    return fallback
+        labels, _ = kmeans(spectral_embed(eigvecs, k), k, seed=seed)
+        singleton = np.bincount(labels, minlength=k).min() < 2
+        if not singleton:
+            break
+    return ClusterAssignment(
+        coin_ids=list(matrix.coin_ids),
+        labels=_canonical_labels(matrix.coin_ids, labels, k),
+        k=k,
+        eigenvalues=eigvals[: k + 1],
+        seed=seed,
+        metric=matrix.metric,
+        flags=("no_singleton_unsatisfiable",) if singleton else (),
+    )

@@ -88,23 +88,20 @@ class Series:
         )
 
     def validate(self, min_len: int = MIN_SERIES_LEN) -> None:
+        """Raise on a malformed series; messages leave naming the source to the caller."""
         if len(self.dates) != len(self.values):
-            raise MalformedCsvError(f"{self.coin_id}: dates/values length mismatch")
+            raise MalformedCsvError("dates/values length mismatch")
         if len(self.values) < min_len:
-            raise TooShortError(
-                f"{self.coin_id}.{self.metric.value}: {len(self.values)} rows < minimum {min_len}"
-            )
+            raise TooShortError(f"{len(self.values)} rows < minimum {min_len}")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise NonMonotoneDatesError(f"{self.coin_id}: dates not strictly increasing")
+            raise NonMonotoneDatesError("dates not strictly increasing")
         if not np.all(np.isfinite(self.values)):
-            raise MalformedCsvError(f"{self.coin_id}: non-finite value survived loading")
+            raise MalformedCsvError("non-finite value survived loading")
         if self.metric is Metric.PRICE:
             if np.any(self.values < 0):
-                raise NonPositiveValueError(f"{self.coin_id}: negative price")
+                raise NonPositiveValueError("negative price")
         elif np.any(self.values <= 0):
-            raise NonPositiveValueError(
-                f"{self.coin_id}: {self.metric.value} must be strictly positive"
-            )
+            raise NonPositiveValueError(f"{self.metric.value} must be strictly positive")
 
 
 @dataclass
@@ -153,7 +150,9 @@ def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LE
 
     Rows whose value field is empty or non-numeric (including NaN/inf
     tokens) are dropped and counted in ``Series.drop_count``.  Structural
-    problems (wrong field count, bad header, bad date) raise instead.
+    problems (wrong field count, bad header, bad date, a field the CSV
+    reader refuses) raise instead.  Every error message starts with the
+    file name.
     """
     path = Path(path)
     dates: list[date] = []
@@ -161,12 +160,15 @@ def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LE
     dropped = 0
     reader = csv.reader(io.StringIO(_read_utf8(path, MalformedCsvError), newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedCsvError(f"{path.name}: empty file") from None
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedCsvError(f"{path.name}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise MalformedCsvError(f"{path.name}: empty file")
+    header = rows[0]
     if [h.strip().lower() for h in header] != ["date", "value"]:
         raise MalformedCsvError(f"{path.name}: expected header 'date,value', got {header!r}")
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 2:
@@ -187,7 +189,10 @@ def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LE
         dates.append(day)
         values.append(value)
     series = Series(coin_id=coin_id, metric=metric, dates=dates, values=values, drop_count=dropped)
-    series.validate(min_len=min_len)
+    try:
+        series.validate(min_len=min_len)
+    except CoinclustError as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
     return series
 
 
@@ -238,22 +243,23 @@ def _profile_from_block(block: dict[str, str]) -> MechanismProfile:
         tok = block.get(key, "none")
         return None if tok == "none" else tok
 
-    diff = optional("difficulty_adjustment_blocks")
-    if diff is not None:
+    def positive(key, cast):
+        """The key's positive finite value (nan fails the test too), or None."""
+        tok = optional(key)
+        if tok is None:
+            return None
         try:
-            diff = int(diff)
+            value = cast(tok)
         except ValueError:
-            raise ProfileParseError(f"{coin}: difficulty_adjustment_blocks must be an integer") from None
-        if diff <= 0:
-            raise ProfileParseError(f"{coin}: difficulty_adjustment_blocks must be positive")
-    target = optional("target_block_time_minutes")
-    if target is not None:
-        target = float(target)
-        if target <= 0:
-            raise ProfileParseError(f"{coin}: target_block_time_minutes must be positive")
-    limit_bytes = optional("block_size_limit_bytes")
-    if limit_bytes is not None:
-        limit_bytes = float(limit_bytes)
+            value = None
+        if value is None or not 0 < value < np.inf:
+            kind = "integer" if cast is int else "finite number"
+            raise ProfileParseError(f"{coin}: {key} must be a positive {kind}, got {tok!r}")
+        return value
+
+    diff = positive("difficulty_adjustment_blocks", int)
+    target = positive("target_block_time_minutes", float)
+    limit_bytes = positive("block_size_limit_bytes", float)
 
     return MechanismProfile(
         coin_id=coin,
@@ -318,10 +324,7 @@ def build_dataset(series_dir, profiles_path, metric: Metric, min_len: int = MIN_
         coin_id = path.name[: -len(suffix)]
         if coin_id not in profiles:
             raise MissingProfileError(f"{path.name}: no profile for coin {coin_id!r}")
-        try:
-            series[coin_id] = load_series(path, coin_id, metric, min_len=min_len)
-        except CoinclustError as exc:
-            raise type(exc)(f"{path.name}: {exc}") from exc
+        series[coin_id] = load_series(path, coin_id, metric, min_len=min_len)
         fingerprints[path.name] = _sha256(path)
     if not series:
         raise NoSeriesLoadedError(f"no {metric.value} series found in {series_dir}")

@@ -166,7 +166,7 @@ def test_criterion_5_spectral_pipeline_oracle():
         p_lib = eigvecs[:, :k] @ eigvecs[:, :k].T
         p_oracle = ovecs @ np.linalg.pinv(ovecs)
         assert np.abs(p_lib - p_oracle).max() < 1e-8, f"case {case}: projector distance"
-        coords, _ = spectral_embed(sim, k)
+        coords = spectral_embed(eigvecs, k)
         _, inertia = kmeans(coords, k, seed=case)
         best, _ = kmeans_exhaustive(coords, k)
         assert inertia == pytest.approx(best, rel=1e-10, abs=1e-12), f"case {case}: inertia"
@@ -201,10 +201,10 @@ def test_criterion_6_no_singleton_k_selection():
         sizes = np.bincount(result.labels, minlength=result.k)
         assert sizes.min() >= 2, f"seed {seed}: singleton in result"
         # independent re-run of every k to find the true maximum
-        sim = similarity_matrix(matrix.rows)
+        _, eigvecs = laplacian_eigendecomposition(similarity_matrix(matrix.rows))
         feasible = []
         for k in range(2, 7):
-            coords, _ = spectral_embed(sim, k)
+            coords = spectral_embed(eigvecs, k)
             labels, _ = kmeans(coords, k, seed=42)
             if np.bincount(labels, minlength=k).min() >= 2:
                 feasible.append(k)

@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from coinclust import clustering
 
 from coinclust.clustering import (
     FeatureMatrix,
     assemble_features,
     kmeans,
+    laplacian_eigendecomposition,
     select_k_and_cluster,
     similarity_matrix,
     spectral_embed,
     standardize,
 )
 from coinclust.errors import DegenerateGeometryError, NoUsableCoinsError
-from coinclust.ingest import Dataset, Metric
+from coinclust.ingest import Dataset, Metric, build_dataset
 
 from conftest import make_series, random_walk
 from oracles import co_membership, kmeans_exhaustive, laplacian_eig_dense, similarity_double_loop
@@ -98,6 +103,23 @@ def test_similarity_matches_double_loop_oracle():
     assert np.allclose(similarity_matrix(rows), similarity_double_loop(rows, sigma), atol=1e-12)
 
 
+def test_similarity_row_by_row_is_small_symmetric_and_bit_identical():
+    x = np.random.default_rng(21).standard_normal((200, 216))
+    tracemalloc.start()
+    try:
+        s = similarity_matrix(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # an m x m x D broadcast alone is 69 MB
+    assert np.array_equal(s, s.T)
+    sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    sigma = float(np.median(np.sqrt(sq[np.triu_indices(200, k=1)])))
+    expected = np.exp(-sq / (2.0 * sigma * sigma))
+    np.fill_diagonal(expected, 0.0)
+    assert np.array_equal(s, expected)
+
+
 def test_similarity_degenerate():
     with pytest.raises(DegenerateGeometryError):
         similarity_matrix(np.ones((4, 3)))
@@ -111,7 +133,8 @@ def test_embed_block_diagonal_separates():
         for j in range(3):
             if i != j:
                 s[i, j] = s[3 + i, 3 + j] = 0.9
-    coords, eigvals = spectral_embed(s, 2)
+    eigvals, eigvecs = laplacian_eigendecomposition(s)
+    coords = spectral_embed(eigvecs, 2)
     # disconnected graph: eigenvalue 0 with multiplicity 2
     assert eigvals[0] == pytest.approx(0.0, abs=1e-12)
     assert eigvals[1] == pytest.approx(0.0, abs=1e-12)
@@ -125,7 +148,7 @@ def test_embed_eigenvalue_bounds():
     rng = np.random.default_rng(12)
     rows = rng.standard_normal((9, 4))
     s = similarity_matrix(rows)
-    _, eigvals = spectral_embed(s, 8)
+    eigvals, _ = laplacian_eigendecomposition(s)
     assert np.all(np.diff(eigvals) >= -1e-12)
     assert eigvals[0] >= -1e-10 and eigvals[-1] <= 2.0 + 1e-10
 
@@ -183,6 +206,17 @@ def test_kmeans_matches_exhaustive_random(seed):
     assert inertia == pytest.approx(best, rel=1e-10)
 
 
+@pytest.mark.parametrize("points, k", [
+    (np.repeat(np.eye(3), [3, 3, 2], axis=0), 5),
+    (np.zeros((4, 2)), 3),
+    (np.repeat(np.eye(2), [2, 3], axis=0), 4),
+])
+def test_kmeans_seeding_when_every_point_sits_on_a_centre(points, k):
+    labels, inertia = kmeans(points, k, seed=0)
+    assert np.bincount(labels, minlength=k).min() >= 1
+    assert inertia == pytest.approx(0.0, abs=1e-12)
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((12, 4))
@@ -219,6 +253,22 @@ def test_select_k_identical_points_flagged():
 def test_select_k_requires_enough_coins():
     with pytest.raises(NoUsableCoinsError):
         select_k_and_cluster(fm(np.eye(3)), k_max=2, seed=0)
+
+
+def test_select_k_decomposes_the_laplacian_once(snapshot_dir, monkeypatch):
+    ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
+    std = standardize(assemble_features(ds))
+    calls = []
+    decompose = clustering.laplacian_eigendecomposition
+
+    def counted(similarity):
+        calls.append(similarity.shape)
+        return decompose(similarity)
+
+    monkeypatch.setattr(clustering, "laplacian_eigendecomposition", counted)
+    a = select_k_and_cluster(std, k_max=6, seed=42)
+    assert a.k == 5  # k = 6 was tried and left a singleton
+    assert len(calls) == 1
 
 
 def test_no_singleton_invariant_random_geometries():

@@ -277,6 +277,48 @@ def test_build_dataset_non_utf8_series_names_file(tmp_path, capsys):
     assert "latin.price_usd.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, error", [
+    ("2019-01-20,1.0,extra", MalformedCsvError),
+    ("2018-12-31,2.0", NonMonotoneDatesError),
+])
+def test_build_dataset_error_names_file_once(tmp_path, capsys, row, error):
+    _write_snapshot(tmp_path, ["good", "bad"])
+    path = tmp_path / f"bad.{Metric.PRICE.value}.csv"
+    path.write_text(path.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+    with pytest.raises(error) as info:
+        build_dataset(tmp_path, tmp_path / "profiles.txt", Metric.PRICE)
+    message = str(info.value)
+    assert message.startswith("bad.price_usd.csv") and message.count("bad.price_usd.csv") == 1
+    assert main(["features", "--data-dir", str(tmp_path), "--metric", "price_usd",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.count("bad.price_usd.csv") == 1
+
+
+def test_oversized_csv_field_is_malformed_csv(tmp_path, capsys):
+    _write_snapshot(tmp_path, ["good", "huge"])
+    path = tmp_path / f"huge.{Metric.PRICE.value}.csv"
+    path.write_text(path.read_text(encoding="utf-8") + "2019-03-01," + "1" * 200_000 + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedCsvError, match=r"^huge\.price_usd\.csv:\d+: field larger"):
+        load_series(path, "huge", Metric.PRICE)
+    assert main(["features", "--data-dir", str(tmp_path), "--metric", "price_usd",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "huge.price_usd.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["target_block_time_minutes", "block_size_limit_bytes"])
+@pytest.mark.parametrize("token", ["ten", "nan", "inf", "-inf", "0"])
+def test_profiles_numeric_key_must_be_positive_finite_number(tmp_path, key, token):
+    text = "\n".join(
+        f"{key}: {token}" if line.startswith(key) else line
+        for line in PROFILE_BLOCK.format(coin="x").splitlines()
+    )
+    p = tmp_path / "profiles.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ProfileParseError, match=f"^x: {key} must be"):
+        load_profiles(p)
+
+
 def test_profiles_non_utf8_names_file(tmp_path):
     p = tmp_path / "profiles.txt"
     p.write_bytes(PROFILE_BLOCK.format(coin="x").encode("utf-8") + b"# caf\xe9\n")

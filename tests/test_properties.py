@@ -1,9 +1,15 @@
-"""Property tests: library routes against the naive oracles on drawn inputs."""
+"""Property tests: library routes against the naive oracles, and loaders on drawn inputs."""
+
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from coinclust.characteristics import nearest_outside_window
+from coinclust.errors import CoinclustError
+from coinclust.ingest import _PROFILE_KEYS, Metric, load_profiles, load_series
 
 from oracles import nearest_outside_window_naive
 
@@ -22,3 +28,60 @@ def test_neighbor_search_matches_oracle_on_rounded_series(seed, n, decimals, lev
     tol2 = (1e-9 * float(np.std(x))) ** 2
     got = nearest_outside_window(points, theiler, tol2)
     assert got.tolist() == nearest_outside_window_naive(points, theiler, tol2)
+
+
+_SERIES_LINES = st.lists(
+    st.one_of(
+        st.sampled_from(["date,value", "2019-01-01,1.5", "2019-01-02,nan", "2019-01-03,",
+                         "2019-01-02,-3", "x,y,z", '"2019-01-04","7"', "", "\x00"]),
+        st.text(max_size=20),
+    ),
+    max_size=40,
+)
+_PROFILE_TOKENS = ["btc", "PoW", "public", "static", "none", "10", "0", "-1", "ten", "nan",
+                   "inf", "1e999", "2016", "9" * 5000, "", "a: b"]
+# Blocks hold each key, or omit it, with a drawn token; junk lines ride along.
+_PROFILE_BLOCK = st.fixed_dictionaries(
+    {key: st.sampled_from(_PROFILE_TOKENS + [None]) for key in sorted(_PROFILE_KEYS)}
+).map(lambda block: [f"{k}: {v}" for k, v in block.items() if v is not None])
+_JUNK_LINES = st.lists(
+    st.one_of(st.sampled_from(["", "# note", "no colon", "bogus: 1"]), st.text(max_size=20)),
+    max_size=5,
+)
+_PROFILE_LINES = st.lists(st.one_of(_PROFILE_BLOCK, _JUNK_LINES), max_size=4).map(
+    lambda blocks: [line for block in blocks for line in block + [""]]
+)
+
+
+def _as_bytes(lines):
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.one_of(st.binary(max_size=300), _SERIES_LINES.map(_as_bytes)))
+def test_load_series_gives_a_series_or_a_coinclust_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.price_usd.csv"
+        path.write_bytes(data)
+        try:
+            series = load_series(path, "x", Metric.PRICE, min_len=1)
+        except CoinclustError as exc:
+            assert str(exc).startswith("x.price_usd.csv")
+        else:
+            assert len(series) >= 1 and np.all(np.isfinite(series.values))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.one_of(st.binary(max_size=300), _PROFILE_LINES.map(_as_bytes)))
+def test_load_profiles_gives_profiles_or_a_coinclust_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profiles.txt"
+        path.write_bytes(data)
+        try:
+            profiles = load_profiles(path)
+        except CoinclustError:
+            return
+        for profile in profiles.values():
+            for value in (profile.difficulty_adjustment_blocks, profile.target_block_time_minutes,
+                          profile.block_size_limit_bytes):
+                assert value is None or 0 < value < math.inf

@@ -45,7 +45,6 @@ def assignment_of(groups, metric="price_usd"):
         coin_ids=coin_ids,
         labels=labels,
         k=len(groups),
-        embedding=np.zeros((len(coin_ids), len(groups))),
         eigenvalues=np.zeros(len(groups) + 1),
         seed=42,
         metric=metric,
@@ -145,8 +144,7 @@ def test_emit_plots_writes_csv_and_svg(tmp_path):
 
 
 def test_emit_plots_empty_assignment(tmp_path):
-    empty = ClusterAssignment(coin_ids=[], labels=[], k=0, embedding=np.zeros((0, 2)),
-                              eigenvalues=np.zeros(0), seed=0)
+    empty = ClusterAssignment(coin_ids=[], labels=[], k=0, eigenvalues=np.zeros(0), seed=0)
     proj = Projection3D(coin_ids=[], coords=np.zeros((0, 3)),
                         explained_variance_ratio=np.zeros(3), component_loadings=np.zeros((3, 2)))
     with pytest.raises(ValueError):

@@ -361,7 +361,7 @@ def generate() -> None:
 
 def verify() -> int:
     sys.path.insert(0, str(REPO / "src"))
-    from coinclust.clustering import assemble_features, select_k_and_cluster, spectral_embed, kmeans, similarity_matrix, standardize
+    from coinclust.clustering import assemble_features, select_k_and_cluster, spectral_embed, kmeans, laplacian_eigendecomposition, similarity_matrix, standardize
     from coinclust.ingest import Metric, build_dataset
 
     ok = True
@@ -377,8 +377,8 @@ def verify() -> int:
             if a.k != 5 or a.flags:
                 print("  !! price must select k=5 unflagged")
                 ok = False
-            sim = similarity_matrix(std.rows)
-            coords, _ = spectral_embed(sim, 6)
+            _, eigvecs = laplacian_eigendecomposition(similarity_matrix(std.rows))
+            coords = spectral_embed(eigvecs, 6)
             labels6, _ = kmeans(coords, 6, seed=42)
             if min(np.bincount(labels6)) >= 2:
                 print("  !! k=6 must produce a singleton (else selection stops at 6)")
