@@ -2,7 +2,6 @@
 
 from .characteristics import (
     COLUMNS,
-    CharacteristicsConfig,
     CharacteristicVector,
     compute_characteristics,
 )
@@ -29,7 +28,6 @@ from .spectrum import PowerSpectrum, spectrum_feature
 
 __all__ = [
     "COLUMNS",
-    "CharacteristicsConfig",
     "CharacteristicVector",
     "ClusterAssignment",
     "Dataset",

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import (
     FeatureError,
     NoValidNeighborsError,
@@ -48,17 +49,10 @@ COLUMNS = (
 MIN_DFA_LEN = 100
 DFA_WINDOW_CANDIDATES = 20
 MIN_LYAPUNOV_LEN = 200
-
-
-@dataclass
-class CharacteristicsConfig:
-    """Estimator parameters, all overridable from the CLI."""
-
-    dfa_min_window: int = 4
-    dfa_max_window_frac: float = 0.25
-    embedding_dim: int = 3
-    embedding_delay: int = 1
-    lyapunov_max_fit_steps: int | None = None  # default min(20, n // 50)
+# Divergence-fit extent when the run leaves it unset:
+# min(LYAPUNOV_FIT_STEPS, n // DAYS_PER_FIT_STEP).
+LYAPUNOV_FIT_STEPS = 20
+DAYS_PER_FIT_STEP = 50
 
 
 class Moments(NamedTuple):
@@ -214,19 +208,21 @@ def _log_spaced_windows(lo: int, hi: int, num: int) -> np.ndarray:
     return np.unique(np.clip(np.round(grid).astype(int), lo, hi))
 
 
-def self_similarity_dfa(values, config: CharacteristicsConfig | None = None) -> float:
+def self_similarity_dfa(values, config: RunConfig | None = None) -> float:
     """Self-similarity exponent via first-order detrended fluctuation analysis.
 
     The demeaned series is integrated into a profile; for each window size s
-    on a log-spaced grid in [4, n/4] the profile is cut into non-overlapping
-    windows, each window linearly detrended, and F(s) is the RMS residual.
-    The exponent is the slope of log F(s) against log s.
+    on a log-spaced grid in [dfa_min_window, n * dfa_max_window_frac] the
+    profile is cut into non-overlapping windows, each window linearly
+    detrended, and F(s) is the RMS residual.  The exponent is the slope of
+    log F(s) against log s.
 
     Values near 0.5 indicate uncorrelated increments, near 1.5 a random
     walk; a pure deterministic trend saturates the estimator near 2.
-    Zero-variance input returns 0.
+    Zero-variance input returns 0.  A grid with fewer than two window
+    sizes raises ``TooShortForDfaError``.
     """
-    cfg = config or CharacteristicsConfig()
+    cfg = config or RunConfig()
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < MIN_DFA_LEN:
@@ -235,6 +231,11 @@ def self_similarity_dfa(values, config: CharacteristicsConfig | None = None) -> 
     if np.all(profile == 0.0):
         return 0.0
     s_max = int(n * cfg.dfa_max_window_frac)
+    if s_max <= cfg.dfa_min_window:
+        raise TooShortForDfaError(
+            f"dfa_min_window={cfg.dfa_min_window} and dfa_max_window_frac={cfg.dfa_max_window_frac} "
+            f"leave fewer than 2 window sizes for {n} observations"
+        )
     scales = _log_spaced_windows(cfg.dfa_min_window, s_max, DFA_WINDOW_CANDIDATES)
     log_s, log_f = [], []
     for s in scales:
@@ -341,22 +342,24 @@ def nearest_outside_window(points: np.ndarray, theiler: int, tol2: float) -> np.
     return neighbors
 
 
-def chaos_lyapunov(values, config: CharacteristicsConfig | None = None) -> float:
+def chaos_lyapunov(values, config: RunConfig | None = None) -> float:
     """Largest divergence-rate exponent, Rosenstein-style, per day.
 
-    The series is delay-embedded (dimension 3, delay 1 by default).  Each
-    embedded point is paired with its nearest neighbour more than one mean
-    period away in time: the point at the smallest squared direct-difference
-    distance, the lowest index among ties, where points within 1e-9
-    standard deviations (the same trajectory to round-off) are excluded.
-    The pairwise distances are followed forward, and the exponent is the
-    slope of the mean log-divergence curve over its initial rise.  When the
-    curve saturates inside the fit range (it always does for strongly
-    chaotic signals), the fit stops at the step where 90% of the total rise
-    is reached; otherwise it spans steps 1..min(20, n/50).  Zero-variance
-    input returns 0.
+    The series is delay-embedded with ``embedding_dim`` and
+    ``embedding_delay``.  Each embedded point is paired with its nearest
+    neighbour more than one mean period away in time: the point at the
+    smallest squared direct-difference distance, the lowest index among
+    ties, where points within 1e-9 standard deviations (the same trajectory
+    to round-off) are excluded.  The pairwise distances are followed
+    forward, and the exponent is the slope of the mean log-divergence curve
+    over its initial rise.  When the curve saturates inside the fit range
+    (it always does for strongly chaotic signals), the fit stops at the
+    step where 90% of the total rise is reached; otherwise it spans steps
+    1..``lyapunov_max_fit_steps``, which defaults to
+    min(LYAPUNOV_FIT_STEPS, n // DAYS_PER_FIT_STEP).  Zero-variance input
+    returns 0.
     """
-    cfg = config or CharacteristicsConfig()
+    cfg = config or RunConfig()
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < MIN_LYAPUNOV_LEN:
@@ -366,7 +369,7 @@ def chaos_lyapunov(values, config: CharacteristicsConfig | None = None) -> float
 
     m, tau = cfg.embedding_dim, cfg.embedding_delay
     n_points = n - (m - 1) * tau
-    steps = cfg.lyapunov_max_fit_steps or min(20, n // 50)
+    steps = cfg.lyapunov_max_fit_steps or min(LYAPUNOV_FIT_STEPS, n // DAYS_PER_FIT_STEP)
     steps = max(3, min(steps, n_points - 2))
 
     orbit = np.column_stack([x[i * tau : i * tau + n_points] for i in range(m)])
@@ -415,7 +418,7 @@ def chaos_lyapunov(values, config: CharacteristicsConfig | None = None) -> float
 DFA_SATURATION = 1.9
 
 
-def compute_characteristics(series, config: CharacteristicsConfig | None = None) -> CharacteristicVector:
+def compute_characteristics(series, config: RunConfig | None = None) -> CharacteristicVector:
     """Assemble all sixteen characteristics of one series.
 
     Zero-variance series yield flagged zeros for the shape, correlation and
@@ -423,7 +426,7 @@ def compute_characteristics(series, config: CharacteristicsConfig | None = None)
     abort a batch run.  Other sub-estimator failures propagate with the
     field name attached.
     """
-    cfg = config or CharacteristicsConfig()
+    cfg = config or RunConfig()
     values = np.asarray(series.values, dtype=float)
     flags: list[str] = []
 

@@ -16,6 +16,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .characteristics import DAYS_PER_FIT_STEP, LYAPUNOV_FIT_STEPS
 from .clustering import assemble_features
 from .config import ALL_METRICS, RunConfig, load_config
 from .errors import CoinclustError, ConfigError, NoSeriesLoadedError
@@ -29,6 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Characteristic-based spectral clustering of daily crypto series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    default = RunConfig()
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
@@ -36,23 +38,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profiles", dest="profiles_path", help="mechanism profiles file")
         p.add_argument("--metric", action="append", dest="metrics", choices=ALL_METRICS,
                        help="metric to process (repeatable; default: all)")
-        p.add_argument("--bins", dest="spectrum_bins", type=int, help="spectrum bins (default 200)")
-        p.add_argument("--k-max", dest="k_max", type=int, help="largest cluster count tried (default 6)")
-        p.add_argument("--seed", type=int, help="random seed for k-means restarts (default 42)")
         p.add_argument("--sigma", type=float, help="similarity bandwidth override (default: median heuristic)")
-        p.add_argument("--min-series-len", dest="min_series_len", type=int,
-                       help="minimum retained rows per series (default 30)")
-        p.add_argument("--dfa-min-window", dest="dfa_min_window", type=int,
-                       help="smallest detrending window (default 4)")
-        p.add_argument("--dfa-max-window-frac", dest="dfa_max_window_frac", type=float,
-                       help="largest detrending window as a fraction of n (default 0.25)")
-        p.add_argument("--embedding-dim", dest="embedding_dim", type=int,
-                       help="delay-embedding dimension for the chaos estimate (default 3)")
-        p.add_argument("--embedding-delay", dest="embedding_delay", type=int,
-                       help="delay-embedding lag (default 1)")
+        for flag, dest, text in (
+            ("--bins", "spectrum_bins", "spectrum bins"),
+            ("--k-max", "k_max", "largest cluster count tried"),
+            ("--seed", "seed", "random seed for k-means restarts"),
+            ("--min-series-len", "min_series_len", "minimum retained rows per series"),
+            ("--dfa-min-window", "dfa_min_window", "smallest detrending window"),
+            ("--dfa-max-window-frac", "dfa_max_window_frac", "largest detrending window as a fraction of n"),
+            ("--embedding-dim", "embedding_dim", "delay-embedding dimension for the chaos estimate"),
+            ("--embedding-delay", "embedding_delay", "delay-embedding lag"),
+        ):
+            value = getattr(default, dest)
+            p.add_argument(flag, dest=dest, type=type(value), help=f"{text} (default {value})")
         p.add_argument("--lyap-fit-steps", dest="lyapunov_max_fit_steps", type=int,
-                       help="divergence-fit extent, at least 3 (default min(20, n/50))")
-        p.add_argument("--out", dest="output_dir", help="output directory (default ./out)")
+                       help="divergence-fit extent, at least 3 "
+                            f"(default min({LYAPUNOV_FIT_STEPS}, n/{DAYS_PER_FIT_STEP}))")
+        p.add_argument("--out", dest="output_dir",
+                       help=f"output directory (default ./{default.output_dir})")
 
     p_feat = sub.add_parser("features", help="write per-coin feature CSVs")
     add_common(p_feat)
@@ -121,7 +124,7 @@ def cmd_features(cfg: RunConfig, args) -> int:
     for note in notes:
         print(f"note: {note}")
     for name, dataset in sorted(datasets.items()):
-        matrix = assemble_features(dataset, cfg.spectrum_bins, cfg.characteristics())
+        matrix = assemble_features(dataset, cfg)
         path = out / f"features.{name}.csv"
         lines = ["coin_id," + ",".join(matrix.column_names)]
         for coin_id, row in zip(matrix.coin_ids, matrix.rows):

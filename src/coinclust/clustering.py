@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import COLUMNS, CharacteristicsConfig, compute_characteristics
+from .characteristics import COLUMNS, compute_characteristics
+from .config import DEFAULT_K_MAX, DEFAULT_SEED, RunConfig
 from .errors import CoinclustError, DegenerateGeometryError, EigenFailureError, NoUsableCoinsError
 from .ingest import Dataset
-from .spectrum import DEFAULT_BINS, bin_names, spectrum_feature
+from .spectrum import bin_names, spectrum_feature
 
-DEFAULT_K_MAX = 6
-DEFAULT_SEED = 42
 KMEANS_RESTARTS = 50
 KMEANS_MAX_ITER = 100
 
@@ -74,19 +73,16 @@ class ClusterAssignment:
         }
 
 
-def assemble_features(
-    dataset: Dataset,
-    k_bins: int = DEFAULT_BINS,
-    config: CharacteristicsConfig | None = None,
-) -> FeatureMatrix:
-    """One row per coin, in sorted coin order: 16 characteristics then K
-    spectrum bins.
+def assemble_features(dataset: Dataset, config: RunConfig | None = None) -> FeatureMatrix:
+    """One row per coin, in sorted coin order: 16 characteristics then
+    ``config.spectrum_bins`` spectrum bins.
 
     Coins whose data cannot yield features (a ``CoinclustError``) are
     excluded and recorded in ``excluded`` rather than failing the whole
     batch; any other exception is a parameter or programming error and
     propagates.
     """
+    cfg = config or RunConfig()
     coin_ids: list[str] = []
     rows: list[np.ndarray] = []
     excluded: dict[str, str] = {}
@@ -94,8 +90,8 @@ def assemble_features(
     for coin_id in dataset.coin_ids():
         series = dataset.series[coin_id]
         try:
-            vec = compute_characteristics(series, config)
-            spec = spectrum_feature(series, k_bins)
+            vec = compute_characteristics(series, cfg)
+            spec = spectrum_feature(series, cfg.spectrum_bins)
         except CoinclustError as exc:
             excluded[coin_id] = str(exc)
             continue
@@ -109,7 +105,7 @@ def assemble_features(
     return FeatureMatrix(
         coin_ids=coin_ids,
         rows=np.vstack(rows),
-        column_names=list(COLUMNS) + bin_names(k_bins),
+        column_names=list(COLUMNS) + bin_names(cfg.spectrum_bins),
         metric=dataset.metric.value,
         excluded=excluded,
         coin_flags=coin_flags,
@@ -274,34 +270,33 @@ def select_k_and_cluster(
 
     k is searched downward; if even k=2 leaves a singleton the k=2 result is
     returned flagged.  Identical-point geometries cannot be clustered
-    meaningfully and come back as a flagged deterministic halving.
+    meaningfully and come back as a flagged deterministic halving.  Fewer
+    than 4 coins, or no more coins than ``k_max``, raise
+    ``NoUsableCoinsError``.
     """
     m = len(matrix.coin_ids)
+    if k_max < 2:
+        raise ValueError(f"need k_max >= 2, got {k_max}")
     if m < 4:
         raise NoUsableCoinsError(f"need at least 4 coins to cluster, got {m}")
-    if not 2 <= k_max < m:
-        raise ValueError(f"need 2 <= k_max < m, got k_max={k_max}, m={m}")
+    if k_max >= m:
+        raise NoUsableCoinsError(
+            f"{matrix.metric}: k_max={k_max} needs more than {k_max} coins, got {m}"
+        )
     try:
         sim = similarity_matrix(matrix.rows, sigma=sigma)
     except DegenerateGeometryError:
-        half = (m + 1) // 2
-        labels = [0] * half + [1] * (m - half)
-        return ClusterAssignment(
-            coin_ids=list(matrix.coin_ids),
-            labels=labels,
-            k=2,
-            eigenvalues=np.zeros(3),
-            seed=seed,
-            metric=matrix.metric,
-            flags=("degenerate_geometry",),
-        )
-
-    eigvals, eigvecs = laplacian_eigendecomposition(sim)
-    for k in range(k_max, 1, -1):
-        labels, _ = kmeans(spectral_embed(eigvecs, k), k, seed=seed)
-        singleton = np.bincount(labels, minlength=k).min() < 2
-        if not singleton:
-            break
+        k, flag = 2, "degenerate_geometry"
+        labels = np.repeat([0, 1], [(m + 1) // 2, m // 2])
+        eigvals = np.zeros(3)
+    else:
+        eigvals, eigvecs = laplacian_eigendecomposition(sim)
+        for k in range(k_max, 1, -1):
+            labels, _ = kmeans(spectral_embed(eigvecs, k), k, seed=seed)
+            singleton = np.bincount(labels, minlength=k).min() < 2
+            if not singleton:
+                break
+        flag = "no_singleton_unsatisfiable" if singleton else None
     return ClusterAssignment(
         coin_ids=list(matrix.coin_ids),
         labels=_canonical_labels(matrix.coin_ids, labels, k),
@@ -309,5 +304,5 @@ def select_k_and_cluster(
         eigenvalues=eigvals[: k + 1],
         seed=seed,
         metric=matrix.metric,
-        flags=("no_singleton_unsatisfiable",) if singleton else (),
+        flags=(flag,) if flag else (),
     )

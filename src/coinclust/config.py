@@ -1,8 +1,12 @@
 """Run configuration shared by the CLI commands and the report bundle.
 
+``RunConfig`` is the one parameter object: the CLI fills it, and the
+estimators, the feature assembly and the clustering read it.  Each default
+is written once, here or as the module constant a field takes it from.
 Precedence is flags > config file > defaults; the file is JSON with keys
-matching the field names below.  The effective configuration is echoed
-verbatim into every report so a run can be reproduced from its output.
+matching the field names below.  Every report echoes the effective
+configuration without its paths (data, profiles and output), so a run can
+be reproduced from its output and its input fingerprints.
 """
 
 from __future__ import annotations
@@ -12,13 +16,13 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .characteristics import CharacteristicsConfig
-from .clustering import DEFAULT_K_MAX, DEFAULT_SEED
 from .errors import ConfigError
-from .ingest import Metric
+from .ingest import MIN_SERIES_LEN, Metric
 from .spectrum import DEFAULT_BINS
 
 ALL_METRICS = [m.value for m in Metric]
+DEFAULT_K_MAX = 6
+DEFAULT_SEED = 42
 
 # Smallest accepted value of each integer field (None: any integer).
 _INT_MINIMUM = {
@@ -50,12 +54,12 @@ class RunConfig:
     k_max: int = DEFAULT_K_MAX
     seed: int = DEFAULT_SEED
     sigma: float | None = None  # similarity bandwidth override
-    min_series_len: int = 30
+    min_series_len: int = MIN_SERIES_LEN
     dfa_min_window: int = 4
     dfa_max_window_frac: float = 0.25
     embedding_dim: int = 3
     embedding_delay: int = 1
-    lyapunov_max_fit_steps: int | None = None
+    lyapunov_max_fit_steps: int | None = None  # None: chosen from n by chaos_lyapunov
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -82,15 +86,6 @@ class RunConfig:
 
     def resolved_profiles_path(self) -> Path:
         return Path(self.profiles_path) if self.profiles_path else Path(self.data_dir) / "profiles.txt"
-
-    def characteristics(self) -> CharacteristicsConfig:
-        return CharacteristicsConfig(
-            dfa_min_window=self.dfa_min_window,
-            dfa_max_window_frac=self.dfa_max_window_frac,
-            embedding_dim=self.embedding_dim,
-            embedding_delay=self.embedding_delay,
-            lyapunov_max_fit_steps=self.lyapunov_max_fit_steps,
-        )
 
     def as_dict(self) -> dict:
         return asdict(self)

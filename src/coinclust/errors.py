@@ -85,7 +85,3 @@ class DegenerateGeometryError(CoinclustError):
 
 class EigenFailureError(CoinclustError):
     """The eigensolver did not converge."""
-
-
-class RankDeficientError(CoinclustError):
-    """Fewer non-trivial principal directions than requested."""

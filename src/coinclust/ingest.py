@@ -16,7 +16,8 @@ import csv
 import enum
 import hashlib
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
 
@@ -111,8 +112,8 @@ class MechanismProfile:
     coin_id: str
     consensus: Consensus
     hashing_algorithm: str
-    governance: Governance
     block_size_limit_kind: BlockSizeLimitKind
+    governance: Governance
     fork_origin: str | None = None
     difficulty_adjustment_blocks: int | None = None
     target_block_time_minutes: float | None = None
@@ -183,7 +184,7 @@ def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LE
         except ValueError:
             dropped += 1
             continue
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             dropped += 1
             continue
         dates.append(day)
@@ -206,42 +207,41 @@ def write_series(series: Series, path) -> None:
             writer.writerow([day.isoformat(), repr(float(value))])
 
 
-_PROFILE_KEYS = {
-    "coin_id",
-    "fork_origin",
-    "consensus",
-    "hashing_algorithm",
-    "difficulty_adjustment_blocks",
-    "target_block_time_minutes",
-    "block_size_limit_kind",
-    "block_size_limit_bytes",
-    "governance",
-}
-_REQUIRED_KEYS = ("coin_id", "consensus", "hashing_algorithm", "block_size_limit_kind", "governance")
+# A profile key is a MechanismProfile field; it is required when the field
+# has no default.
+_PROFILE_KEYS = tuple(f.name for f in fields(MechanismProfile))
+_REQUIRED_KEYS = tuple(f.name for f in fields(MechanismProfile) if f.default is MISSING)
 
 
-def _parse_enum(enum_cls, token: str, key: str, coin: str):
-    for member in enum_cls:
-        if member.value == token:
-            return member
-    allowed = ", ".join(m.value for m in enum_cls)
-    raise UnknownEnumTokenError(f"{coin}: {key}={token!r} not one of {{{allowed}}}")
+def _profile_from_block(block: dict[str, str], lines: dict[str, int], source: str) -> MechanismProfile:
+    """The profile of one block; ``lines`` holds each key's line in ``source``.
 
+    Every error starts with ``<source>:<line>:``, the offending key's line,
+    or the block's first line for a missing key.
+    """
+    first = min(lines.values())
+    coin = block.get("coin_id", "<unknown>")
 
-def _profile_from_block(block: dict[str, str]) -> MechanismProfile:
+    def at(key=None) -> str:
+        return f"{source}:{lines.get(key, first)}: {coin}"
+
     for key in _REQUIRED_KEYS:
         if key not in block:
-            raise MissingRequiredFieldError(
-                f"{block.get('coin_id', '<unknown>')}: missing required field {key!r}"
-            )
-    coin = block["coin_id"]
-    unknown = set(block) - _PROFILE_KEYS
+            raise MissingRequiredFieldError(f"{at()}: missing required field {key!r}")
+    unknown = [key for key in block if key not in _PROFILE_KEYS]
     if unknown:
-        raise ProfileParseError(f"{coin}: unknown profile keys {sorted(unknown)}")
+        raise ProfileParseError(f"{at(unknown[0])}: unknown profile keys {sorted(unknown)}")
 
     def optional(key):
         tok = block.get(key, "none")
         return None if tok == "none" else tok
+
+    def member(enum_cls, key):
+        for value in enum_cls:
+            if value.value == block[key]:
+                return value
+        allowed = ", ".join(m.value for m in enum_cls)
+        raise UnknownEnumTokenError(f"{at(key)}: {key}={block[key]!r} not one of {{{allowed}}}")
 
     def positive(key, cast):
         """The key's positive finite value (nan fails the test too), or None."""
@@ -254,7 +254,7 @@ def _profile_from_block(block: dict[str, str]) -> MechanismProfile:
             value = None
         if value is None or not 0 < value < np.inf:
             kind = "integer" if cast is int else "finite number"
-            raise ProfileParseError(f"{coin}: {key} must be a positive {kind}, got {tok!r}")
+            raise ProfileParseError(f"{at(key)}: {key} must be a positive {kind}, got {tok!r}")
         return value
 
     diff = positive("difficulty_adjustment_blocks", int)
@@ -264,33 +264,37 @@ def _profile_from_block(block: dict[str, str]) -> MechanismProfile:
     return MechanismProfile(
         coin_id=coin,
         fork_origin=optional("fork_origin"),
-        consensus=_parse_enum(Consensus, block["consensus"], "consensus", coin),
+        consensus=member(Consensus, "consensus"),
         hashing_algorithm=block["hashing_algorithm"],
         difficulty_adjustment_blocks=diff,
         target_block_time_minutes=target,
-        block_size_limit_kind=_parse_enum(
-            BlockSizeLimitKind, block["block_size_limit_kind"], "block_size_limit_kind", coin
-        ),
+        block_size_limit_kind=member(BlockSizeLimitKind, "block_size_limit_kind"),
         block_size_limit_bytes=limit_bytes,
-        governance=_parse_enum(Governance, block["governance"], "governance", coin),
+        governance=member(Governance, "governance"),
     )
 
 
 def load_profiles(path) -> dict[str, MechanismProfile]:
     """Parse the mechanism-profiles file: blank-line-separated key/value
-    blocks, ``#`` comment lines allowed anywhere."""
+    blocks, ``#`` comment lines allowed anywhere.  Every error message
+    starts with the file name; a line, key or block error goes on with
+    ``:<line>:``."""
     path = Path(path)
     profiles: dict[str, MechanismProfile] = {}
     block: dict[str, str] = {}
+    lines: dict[str, int] = {}
 
     def flush():
         if not block:
             return
-        profile = _profile_from_block(block)
+        profile = _profile_from_block(block, lines, path.name)
         if profile.coin_id in profiles:
-            raise DuplicateCoinError(f"duplicate coin_id {profile.coin_id!r}")
+            raise DuplicateCoinError(
+                f"{path.name}:{min(lines.values())}: duplicate coin_id {profile.coin_id!r}"
+            )
         profiles[profile.coin_id] = profile
         block.clear()
+        lines.clear()
 
     for lineno, raw in enumerate(io.StringIO(_read_utf8(path, ProfileParseError), newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -304,6 +308,7 @@ def load_profiles(path) -> dict[str, MechanismProfile]:
         if key in block:
             raise ProfileParseError(f"{path.name}:{lineno}: repeated key {key!r} in block")
         block[key] = value
+        lines[key] = lineno
     flush()
     return profiles
 

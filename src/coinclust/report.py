@@ -224,9 +224,11 @@ class MetricSection:
 class RunReport:
     """Full-run bundle.
 
-    ``config`` echoes every analytical parameter; the output directory is
-    deliberately excluded so the same inputs produce byte-identical reports
-    wherever they are written.
+    ``config`` echoes every analytical parameter.  The paths (data
+    directory, profiles file and output directory) are deliberately left
+    out, so the same inputs produce byte-identical reports wherever they
+    are read from or written to; ``fingerprints`` names every input file
+    with its SHA-256.
     """
 
     config: dict
@@ -266,7 +268,7 @@ class RunReport:
 def analyze_metric(dataset: Dataset, config: RunConfig) -> MetricSection:
     """Features, clustering, crosstab and projection for one metric."""
     section = MetricSection(metric=dataset.metric.value, missing=list(dataset.missing))
-    features = assemble_features(dataset, config.spectrum_bins, config.characteristics())
+    features = assemble_features(dataset, config)
     section.excluded = dict(features.excluded)
     standardized = standardize(features)
     assignment = select_k_and_cluster(
@@ -293,5 +295,6 @@ def report_run(datasets: dict[str, Dataset], config: RunConfig) -> RunReport:
                 metric=metric, missing=list(dataset.missing), error=str(exc)
             )
     echoed = config.as_dict()
-    echoed.pop("output_dir", None)
+    for path in ("data_dir", "profiles_path", "output_dir"):
+        del echoed[path]
     return RunReport(config=echoed, sections=sections, fingerprints=fingerprints)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from coinclust.characteristics import (
     COLUMNS,
-    CharacteristicsConfig,
     autocorrelation_lag1,
     chaos_lyapunov,
     compute_characteristics,
@@ -19,6 +19,7 @@ from coinclust.characteristics import (
     quantiles,
     self_similarity_dfa,
 )
+from coinclust.config import RunConfig
 from coinclust.errors import TooShortForDfaError, TooShortForLyapunovError
 
 from conftest import make_series, random_walk, white_noise
@@ -176,6 +177,18 @@ def test_dfa_matches_naive_oracle():
 def test_dfa_too_short():
     with pytest.raises(TooShortForDfaError):
         self_similarity_dfa(white_noise(99, seed=0))
+
+
+@pytest.mark.parametrize("n, config", [
+    (450, RunConfig(dfa_max_window_frac=0.01)),  # int(4.5) = 4: one window size
+    (150, RunConfig(dfa_max_window_frac=0.01)),  # int(1.5) = 1: below the smallest window
+    (1_000, RunConfig(dfa_min_window=5_000)),
+], ids=["one_size", "below_min_window", "min_window_above_n"])
+def test_dfa_with_fewer_than_two_window_sizes_raises(n, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TooShortForDfaError, match="dfa_min_window=.* and dfa_max_window_frac="):
+            self_similarity_dfa(random_walk(n, seed=3), config)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,15 +1,17 @@
 import json
+import shutil
 from dataclasses import fields
 
 import pytest
 
 from coinclust.cli import build_parser, main
-from coinclust.characteristics import COLUMNS
+from coinclust.characteristics import COLUMNS, chaos_lyapunov, self_similarity_dfa
 from coinclust.config import RunConfig
 from coinclust.errors import ConfigError
+from coinclust.ingest import Metric, build_dataset
 from coinclust.spectrum import bin_names
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, SNAPSHOT_DIR
 
 
 def run(args):
@@ -188,3 +190,57 @@ def test_run_config_defaults_and_edges_accepted():
     RunConfig()
     RunConfig(sigma=1, k_max=2, seed=0, dfa_min_window=3, dfa_max_window_frac=1,
               embedding_dim=1, lyapunov_max_fit_steps=3, spectrum_bins=1)
+
+
+def test_report_json_does_not_depend_on_where_the_inputs_are(tmp_path, snapshot_dir):
+    for name, extra in (("locA", []), ("locBB", ["--profiles", str(tmp_path / "locBB/data/profiles.txt")])):
+        shutil.copytree(snapshot_dir, tmp_path / name / "data")
+        assert run(["report", "--data-dir", str(tmp_path / name / "data"), "--metric", "price_usd",
+                    *extra, "--out", str(tmp_path / name / "out")]) == 0
+    reports = [(tmp_path / name / "out" / "report.json").read_bytes() for name in ("locA", "locBB")]
+    assert reports[0] == reports[1]
+
+
+def test_k_max_at_a_metrics_coin_count_fails_that_metric_only(tmp_path, snapshot_dir):
+    assert run(["report", "--data-dir", str(snapshot_dir), "--k-max", "16", "--out", str(tmp_path)]) == 0
+    sections = json.loads((tmp_path / "report.json").read_text())["metrics"]
+    assert sections["price_usd"]["assignment"]["k"] <= 16
+    assert sections["block_time_minutes"]["assignment"]["k"] <= 16
+    assert sections["block_size_bytes"]["error"] == \
+        "block_size_bytes: k_max=16 needs more than 16 coins, got 16"
+
+
+def _feature_column(out, column):
+    lines = (out / "features.price_usd.csv").read_text().splitlines()
+    j = lines[0].split(",").index(column)
+    return {cells[0]: float(cells[j]) for cells in (line.split(",") for line in lines[1:])}
+
+
+@pytest.fixture(scope="module")
+def default_price_features(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default")
+    assert run(["features", "--data-dir", str(SNAPSHOT_DIR), "--metric", "price_usd", "--out", str(out)]) == 0
+    return out
+
+
+_ESTIMATOR_FLAGS = [
+    ("--dfa-min-window", "dfa_min_window", 5, "self_similarity"),
+    ("--dfa-max-window-frac", "dfa_max_window_frac", 0.3, "self_similarity"),
+    ("--embedding-dim", "embedding_dim", 4, "chaos"),
+    ("--embedding-delay", "embedding_delay", 2, "chaos"),
+    ("--lyap-fit-steps", "lyapunov_max_fit_steps", 10, "chaos"),
+]
+
+
+@pytest.mark.parametrize("flag, field, value, column", _ESTIMATOR_FLAGS,
+                         ids=[field for _, field, _, _ in _ESTIMATOR_FLAGS])
+def test_estimator_flag_reaches_the_estimator(tmp_path, snapshot_dir, default_price_features,
+                                              flag, field, value, column):
+    assert run(["features", "--data-dir", str(snapshot_dir), "--metric", "price_usd",
+                flag, str(value), "--out", str(tmp_path)]) == 0
+    got = _feature_column(tmp_path, column)
+    assert got != _feature_column(default_price_features, column)
+    estimator = {"self_similarity": self_similarity_dfa, "chaos": chaos_lyapunov}[column]
+    config = RunConfig(**{field: value})
+    dataset = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
+    assert got == {coin: estimator(s.values, config) for coin, s in dataset.series.items()}

@@ -15,6 +15,8 @@ from coinclust.clustering import (
     spectral_embed,
     standardize,
 )
+from coinclust.characteristics import COLUMNS
+from coinclust.config import RunConfig
 from coinclust.errors import DegenerateGeometryError, NoUsableCoinsError
 from coinclust.ingest import Dataset, Metric, build_dataset
 
@@ -255,6 +257,14 @@ def test_select_k_requires_enough_coins():
         select_k_and_cluster(fm(np.eye(3)), k_max=2, seed=0)
 
 
+def test_k_max_reaching_the_coin_count_names_the_metric():
+    rows = np.random.default_rng(0).standard_normal((5, 3))
+    with pytest.raises(NoUsableCoinsError, match=r"^test: k_max=5 needs more than 5 coins, got 5$"):
+        select_k_and_cluster(fm(rows), k_max=5, seed=0)
+    with pytest.raises(ValueError, match="k_max >= 2"):
+        select_k_and_cluster(fm(rows), k_max=1, seed=0)
+
+
 def test_select_k_decomposes_the_laplacian_once(snapshot_dir, monkeypatch):
     ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
     std = standardize(assemble_features(ds))
@@ -338,8 +348,25 @@ def test_short_series_excluded_with_reason():
     series = {f"long{i}": make_series(random_walk(400, seed=i, start=100.0), coin_id=f"long{i}")
               for i in range(4)}
     series["short"] = make_series(random_walk(150, seed=9, start=100.0), coin_id="short")
-    matrix = assemble_features(Dataset(metric=Metric.PRICE, series=series, profiles={}), k_bins=16)
+    matrix = assemble_features(Dataset(metric=Metric.PRICE, series=series, profiles={}),
+                               RunConfig(spectrum_bins=16))
     assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]
     assert list(matrix.excluded) == ["short"]
     assert matrix.excluded["short"].startswith("chaos:")
     assert matrix.rows.shape == (4, 16 + 16)
+
+
+def test_dfa_window_grid_too_small_excludes_the_coin_with_the_reason():
+    # At dfa_max_window_frac 0.01 a 450-day series leaves one window size
+    # (4 = int(4.5)); 600 days leave three.
+    series = {f"long{i}": make_series(random_walk(600, seed=i, start=100.0), coin_id=f"long{i}")
+              for i in range(4)}
+    series["short"] = make_series(random_walk(450, seed=9, start=100.0), coin_id="short")
+    config = RunConfig(spectrum_bins=16, dfa_max_window_frac=0.01)
+    matrix = assemble_features(Dataset(metric=Metric.PRICE, series=series, profiles={}), config)
+    assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]
+    assert matrix.excluded == {
+        "short": "self_similarity: dfa_min_window=4 and dfa_max_window_frac=0.01 "
+                 "leave fewer than 2 window sizes for 450 observations"
+    }
+    assert np.all(matrix.rows[:, COLUMNS.index("self_similarity")] != 0.0)

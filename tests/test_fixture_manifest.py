@@ -5,6 +5,7 @@ fixture-freeze time; the library must reproduce them (1e-12 for closed-form
 characteristics, 1e-8 for the resampled spectrum).
 """
 
+import importlib.util
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from coinclust.characteristics import compute_characteristics
 from coinclust.ingest import Metric, load_series
 from coinclust.spectrum import spectrum_feature
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, REPO_ROOT
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +48,15 @@ def test_spectrum_matches_manifest(manifest, snapshot_dir):
     )
     spec = spectrum_feature(series, k=len(entry["bins"]))
     assert np.allclose(spec.bins, np.asarray(entry["bins"]), rtol=1e-8, atol=1e-12)
+
+
+def test_generator_reproduces_the_snapshot(snapshot_dir, tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("make_snapshot", REPO_ROOT / "tools" / "make_snapshot.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "OUT", tmp_path)
+    generator.generate()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(p.name for p in snapshot_dir.iterdir())
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (snapshot_dir / name).read_bytes(), name

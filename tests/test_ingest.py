@@ -315,8 +315,29 @@ def test_profiles_numeric_key_must_be_positive_finite_number(tmp_path, key, toke
     )
     p = tmp_path / "profiles.txt"
     p.write_text(text, encoding="utf-8")
-    with pytest.raises(ProfileParseError, match=f"^x: {key} must be"):
+    with pytest.raises(ProfileParseError, match=rf"^profiles\.txt:\d+: x: {key} must be"):
         load_profiles(p)
+
+
+_BITCOIN = PROFILE_BLOCK.format(coin="bitcoin")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (_BITCOIN + "\ncoin_id: bitcoin\nconsensus: PoW\n", MissingRequiredFieldError,
+     "profiles.txt:11: bitcoin: missing required field 'hashing_algorithm'"),
+    (_BITCOIN.replace("consensus: PoW", "consensus: PoWW"), UnknownEnumTokenError,
+     "profiles.txt:3: bitcoin: consensus='PoWW' not one of {PoW, PoS, other}"),
+    (_BITCOIN + "\n" + _BITCOIN, DuplicateCoinError, "profiles.txt:11: duplicate coin_id 'bitcoin'"),
+    (_BITCOIN + "bogus: 1\n", ProfileParseError, "profiles.txt:10: bitcoin: unknown profile keys ['bogus']"),
+    (_BITCOIN.replace("blocks: 2016", "blocks: ten"), ProfileParseError,
+     "profiles.txt:5: bitcoin: difficulty_adjustment_blocks must be a positive integer, got 'ten'"),
+], ids=["missing_key", "enum", "duplicate_coin", "unknown_key", "numeric"])
+def test_profile_error_names_file_and_line(tmp_path, text, error, message):
+    p = tmp_path / "profiles.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as exc:
+        load_profiles(p)
+    assert str(exc.value) == message
 
 
 def test_profiles_non_utf8_names_file(tmp_path):

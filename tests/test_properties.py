@@ -79,7 +79,8 @@ def test_load_profiles_gives_profiles_or_a_coinclust_error(data):
         path.write_bytes(data)
         try:
             profiles = load_profiles(path)
-        except CoinclustError:
+        except CoinclustError as exc:
+            assert str(exc).startswith("profiles.txt:")
             return
         for profile in profiles.values():
             for value in (profile.difficulty_adjustment_blocks, profile.target_block_time_minutes,
