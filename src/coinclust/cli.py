@@ -1,11 +1,17 @@
 """Batch command-line front end.
 
-Subcommands wire the pipeline end to end: ``features`` writes per-coin
-feature tables, ``cluster`` writes assignment JSON, ``report`` writes the
-full bundle with plots, and ``fetch-stub`` prints the upstream URLs that a
-manual data refresh would use (no network access happens here).
+``features``, ``cluster`` and ``report`` run one pipeline: each requested
+metric's dataset goes through ``report_run`` (features, clustering,
+crosstab and projection), and the commands differ only in what they write.
+``features`` writes per-coin feature tables, ``cluster`` writes assignment
+JSON, and ``report`` writes the full bundle with plots.  A metric that
+fails fails alone, and a command still writes what that metric computed
+before the failure; a command that writes no per-metric file exits 1.
+``fetch-stub`` prints the upstream URLs that a manual data refresh would
+use (no network access happens here).
 
-Exit codes: 0 success, 1 data error, 2 usage error.
+Exit codes: 0 success, 1 data error, 2 usage error (a bad flag, parameter
+or config file).
 """
 
 from __future__ import annotations
@@ -17,11 +23,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from .characteristics import DAYS_PER_FIT_STEP, LYAPUNOV_FIT_STEPS
-from .clustering import assemble_features
 from .config import ALL_METRICS, RunConfig, load_config
 from .errors import CoinclustError, ConfigError, NoSeriesLoadedError
 from .ingest import Dataset, Metric, build_dataset, load_profiles, source_url
-from .report import MetricSection, analyze_metric, emit_plots, report_run
+from .report import MetricSection, emit_plots, report_run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,17 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="output_dir",
                        help=f"output directory (default ./{default.output_dir})")
 
-    p_feat = sub.add_parser("features", help="write per-coin feature CSVs")
-    add_common(p_feat)
-    p_feat.set_defaults(func=cmd_features)
-
-    p_clus = sub.add_parser("cluster", help="write cluster assignment JSON per metric")
-    add_common(p_clus)
-    p_clus.set_defaults(func=cmd_cluster)
-
-    p_rep = sub.add_parser("report", help="write the full report bundle with plots")
-    add_common(p_rep)
-    p_rep.set_defaults(func=cmd_report)
+    for name, text, write in (
+        ("features", "write per-coin feature CSVs", _write_features),
+        ("cluster", "write cluster assignment JSON per metric", _write_clusters),
+        ("report", "write the full report bundle with plots", _write_bundle),
+    ):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.set_defaults(func=run_pipeline, write=write)
 
     p_fetch = sub.add_parser("fetch-stub", help="print upstream chart URLs (no fetching)")
     add_common(p_fetch)
@@ -75,14 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fetch.set_defaults(func=cmd_fetch_stub)
 
     return parser
-
-
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS}
-    return load_config(args.config, overrides)
 
 
 def build_datasets(cfg: RunConfig) -> tuple[dict[str, Dataset], list[str]]:
@@ -102,70 +96,68 @@ def build_datasets(cfg: RunConfig) -> tuple[dict[str, Dataset], list[str]]:
     return datasets, notes
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_features(section: MetricSection, out: Path) -> str | None:
+    """Write ``features.<metric>.csv`` if the metric got as far as features."""
+    matrix = section.features
+    if matrix is None:
+        return None
+    path = out / f"features.{section.metric}.csv"
+    lines = ["coin_id," + ",".join(matrix.column_names)]
+    for coin_id, row in zip(matrix.coin_ids, matrix.rows):
+        lines.append(coin_id + "," + ",".join(repr(float(v)) for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    skipped = "".join(f"\n  skipped {c}: {why}" for c, why in sorted(matrix.excluded.items()))
+    return f"{path}: {len(matrix.coin_ids)} coins, {len(matrix.column_names)} columns{skipped}"
 
 
-def _write_clusters_json(section: MetricSection, out: Path) -> Path:
+def _write_clusters(section: MetricSection, out: Path) -> str | None:
     """Write ``clusters.<metric>.json``: the assignment plus the coins left out."""
-    payload = section.assignment.as_dict()
-    payload["excluded"] = section.excluded
+    if section.error is not None:
+        return None
+    assignment = section.assignment
+    payload = assignment.as_dict()
+    payload["excluded"] = section.features.excluded
     payload["missing"] = section.missing
     path = out / f"clusters.{section.metric}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    sizes = [len(c) for c in assignment.clusters()]
+    return f"{path}: k={assignment.k} sizes={sizes} flags={list(assignment.flags)}"
 
 
-def cmd_features(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    datasets, notes = build_datasets(cfg)
-    for note in notes:
-        print(f"note: {note}")
-    for name, dataset in sorted(datasets.items()):
-        matrix = assemble_features(dataset, cfg)
-        path = out / f"features.{name}.csv"
-        lines = ["coin_id," + ",".join(matrix.column_names)]
-        for coin_id, row in zip(matrix.coin_ids, matrix.rows):
-            lines.append(coin_id + "," + ",".join(repr(float(v)) for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        skipped = "".join(f"\n  skipped {c}: {why}" for c, why in sorted(matrix.excluded.items()))
-        print(f"{path}: {len(matrix.coin_ids)} coins, {len(matrix.column_names)} columns{skipped}")
-    return 0
+def _write_bundle(section: MetricSection, out: Path) -> str | None:
+    """Write a metric's plots and ``clusters.<metric>.json``."""
+    if section.error is not None:
+        return None
+    emit_plots(section.projection, section.assignment, out)
+    _write_clusters(section, out)
+    return (f"{section.metric}: k={section.assignment.k} " +
+            " ".join(f"purity[{a}]={v:.2f}" for a, v in sorted(section.crosstab.purity.items())))
 
 
-def cmd_cluster(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    datasets, notes = build_datasets(cfg)
-    for note in notes:
-        print(f"note: {note}")
-    for name in sorted(datasets):
-        section = analyze_metric(datasets[name], cfg)
-        path = _write_clusters_json(section, out)
-        assignment = section.assignment
-        sizes = [len(c) for c in assignment.clusters()]
-        print(f"{path}: k={assignment.k} sizes={sizes} flags={list(assignment.flags)}")
-    return 0
+def run_pipeline(cfg: RunConfig, args) -> int:
+    """Run every requested metric, then write what the command asks for.
 
-
-def cmd_report(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
+    ``report`` also writes ``report.json`` and ``report.md``, failed
+    sections included.  A run that wrote no per-metric file is an error.
+    """
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     datasets, notes = build_datasets(cfg)
     report = report_run(datasets, cfg)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "report.md").write_text(report.to_markdown(), encoding="utf-8")
+    if args.command == "report":
+        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+        (out / "report.md").write_text(report.to_markdown(), encoding="utf-8")
+    failed = []
     for name, section in sorted(report.sections.items()):
-        if section.error is not None:
-            print(f"{name}: failed ({section.error})")
-            continue
-        emit_plots(section.projection, section.assignment, out)
-        _write_clusters_json(section, out)
-        print(f"{name}: k={section.assignment.k} " +
-              " ".join(f"purity[{a}]={v:.2f}" for a, v in sorted(section.crosstab.purity.items())))
+        line = args.write(section, out)
+        if line is None:
+            line = f"{name}: failed ({section.error})"
+            failed.append(line)
+        print(line)
     for note in notes:
         print(f"note: {note}")
-    print(f"report written to {out}")
+    if len(failed) == len(report.sections):
+        raise CoinclustError("no metric produced output; " + "; ".join(failed))
     return 0
 
 
@@ -180,18 +172,14 @@ def cmd_fetch_stub(cfg: RunConfig, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = load_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CoinclustError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (CoinclustError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,7 +80,8 @@ def assemble_features(dataset: Dataset, config: RunConfig | None = None) -> Feat
     Coins whose data cannot yield features (a ``CoinclustError``) are
     excluded and recorded in ``excluded`` rather than failing the whole
     batch; any other exception is a parameter or programming error and
-    propagates.
+    propagates.  When every coin is excluded, the ``NoUsableCoinsError``
+    names each reason once with the coins that share it.
     """
     cfg = config or RunConfig()
     coin_ids: list[str] = []
@@ -101,7 +102,11 @@ def assemble_features(dataset: Dataset, config: RunConfig | None = None) -> Feat
         coin_ids.append(coin_id)
         rows.append(np.concatenate([vec.values(), spec.bins]))
     if not rows:
-        raise NoUsableCoinsError(f"no coin produced features for {dataset.metric.value}")
+        coins_by_reason: dict[str, list[str]] = {}
+        for coin_id, reason in excluded.items():
+            coins_by_reason.setdefault(reason, []).append(coin_id)
+        raise NoUsableCoinsError(f"no coin produced features for {dataset.metric.value}" + "".join(
+            f"; {', '.join(coins)}: {reason}" for reason, coins in coins_by_reason.items()))
     return FeatureMatrix(
         coin_ids=coin_ids,
         rows=np.vstack(rows),

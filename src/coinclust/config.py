@@ -17,16 +17,16 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .ingest import MIN_SERIES_LEN, Metric
+from .ingest import MIN_SERIES_LEN, Metric, read_utf8
 from .spectrum import DEFAULT_BINS
 
 ALL_METRICS = [m.value for m in Metric]
 DEFAULT_K_MAX = 6
 DEFAULT_SEED = 42
 
-# Smallest accepted value of each integer field (None: any integer).
+# Smallest accepted value of each integer field.
 _INT_MINIMUM = {
-    "spectrum_bins": None,  # the spectrum itself refuses fewer than 2 bins
+    "spectrum_bins": 2,  # resample_spectrum refuses fewer bins
     "k_max": 2,
     "seed": 0,
     "min_series_len": 1,
@@ -75,9 +75,8 @@ class RunConfig:
             value = getattr(self, name)
             if name == "lyapunov_max_fit_steps" and value is None:
                 continue
-            if not _is_int(value) or (low is not None and value < low):
-                bound = "" if low is None else f" >= {low}"
-                raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+            if not _is_int(value) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.sigma is not None and not (_is_real(self.sigma) and self.sigma > 0):
             raise ConfigError(f"sigma must be a positive number, got {self.sigma!r}")
         if not (_is_real(self.dfa_max_window_frac) and 0 < self.dfa_max_window_frac <= 1):
@@ -95,13 +94,16 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Merge defaults, an optional JSON config file, and explicit overrides."""
     values: dict = {}
     if path is not None:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        path = Path(path)
+        try:
+            raw = json.loads(read_utf8(path, ConfigError))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path.name}:{exc.lineno}: malformed JSON: {exc.msg}") from None
         if not isinstance(raw, dict):
-            raise ConfigError(f"{Path(path).name}: expected a JSON object of config keys")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(raw) - known
+            raise ConfigError(f"{path.name}: expected a JSON object of config keys")
+        unknown = set(raw) - {f.name for f in fields(RunConfig)}
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"{path.name}: unknown config keys: {sorted(unknown)}")
         values.update(raw)
     for key, value in (overrides or {}).items():
         if value is not None:

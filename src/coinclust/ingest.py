@@ -138,7 +138,7 @@ class Dataset:
         return sorted(self.series)
 
 
-def _read_utf8(path: Path, error: type[CoinclustError]) -> str:
+def read_utf8(path: Path, error: type[CoinclustError]) -> str:
     """The file's text; bytes that are not UTF-8 raise ``error`` naming the file."""
     try:
         return path.read_bytes().decode("utf-8")
@@ -159,7 +159,7 @@ def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LE
     dates: list[date] = []
     values: list[float] = []
     dropped = 0
-    reader = csv.reader(io.StringIO(_read_utf8(path, MalformedCsvError), newline=""))
+    reader = csv.reader(io.StringIO(read_utf8(path, MalformedCsvError), newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:
@@ -296,7 +296,7 @@ def load_profiles(path) -> dict[str, MechanismProfile]:
         block.clear()
         lines.clear()
 
-    for lineno, raw in enumerate(io.StringIO(_read_utf8(path, ProfileParseError), newline=None), start=1):
+    for lineno, raw in enumerate(io.StringIO(read_utf8(path, ProfileParseError), newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             flush()

@@ -14,7 +14,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clustering import ClusterAssignment, assemble_features, select_k_and_cluster, standardize
+from .clustering import (
+    ClusterAssignment, FeatureMatrix, assemble_features, select_k_and_cluster, standardize,
+)
 from .config import RunConfig
 from .errors import CoinclustError, MissingProfileError
 from .ingest import Dataset, MechanismProfile
@@ -197,16 +199,20 @@ def emit_plots(projection: Projection3D, assignment: ClusterAssignment, out_dir)
 
 @dataclass
 class MetricSection:
+    """One metric's results.  A failed stage sets ``error`` and leaves what
+    the stages before it computed, such as ``features``, in place."""
+
     metric: str
+    missing: list[str] = field(default_factory=list)
+    features: FeatureMatrix | None = None
     assignment: ClusterAssignment | None = None
     crosstab: MechanismCrosstab | None = None
     projection: Projection3D | None = None
-    excluded: dict[str, str] = field(default_factory=dict)
-    missing: list[str] = field(default_factory=list)
     error: str | None = None
 
     def as_dict(self) -> dict:
-        out: dict = {"metric": self.metric, "missing": self.missing, "excluded": self.excluded}
+        excluded = self.features.excluded if self.features is not None else {}
+        out: dict = {"metric": self.metric, "missing": self.missing, "excluded": excluded}
         if self.error is not None:
             out["error"] = self.error
             return out
@@ -265,35 +271,30 @@ class RunReport:
         return "\n".join(parts)
 
 
-def analyze_metric(dataset: Dataset, config: RunConfig) -> MetricSection:
-    """Features, clustering, crosstab and projection for one metric."""
-    section = MetricSection(metric=dataset.metric.value, missing=list(dataset.missing))
-    features = assemble_features(dataset, config)
-    section.excluded = dict(features.excluded)
-    standardized = standardize(features)
-    assignment = select_k_and_cluster(
+def analyze_metric(section: MetricSection, dataset: Dataset, config: RunConfig) -> None:
+    """Fill ``section`` with features, clustering, crosstab and projection."""
+    section.features = assemble_features(dataset, config)
+    standardized = standardize(section.features)
+    section.assignment = select_k_and_cluster(
         standardized, k_max=config.k_max, seed=config.seed, sigma=config.sigma
     )
-    section.assignment = assignment
-    section.crosstab = crosstab(assignment, dataset.profiles)
+    section.crosstab = crosstab(section.assignment, dataset.profiles)
     section.projection = pca3(standardized)
-    return section
 
 
 def report_run(datasets: dict[str, Dataset], config: RunConfig) -> RunReport:
-    """Bundle per-metric analyses; failures flag their section only."""
+    """Bundle per-metric analyses; a failure flags its own section only."""
     if not datasets:
         raise CoinclustError("no metric datasets supplied")
     sections: dict[str, MetricSection] = {}
     fingerprints: dict[str, str] = {}
     for metric, dataset in sorted(datasets.items()):
         fingerprints.update(dataset.fingerprints)
+        section = sections[metric] = MetricSection(metric=metric, missing=list(dataset.missing))
         try:
-            sections[metric] = analyze_metric(dataset, config)
+            analyze_metric(section, dataset, config)
         except CoinclustError as exc:
-            sections[metric] = MetricSection(
-                metric=metric, missing=list(dataset.missing), error=str(exc)
-            )
+            section.error = str(exc)
     echoed = config.as_dict()
     for path in ("data_dir", "profiles_path", "output_dir"):
         del echoed[path]

@@ -107,7 +107,22 @@ def test_config_file_and_flag_precedence(tmp_path, snapshot_dir):
 def test_config_file_unknown_key(tmp_path, snapshot_dir):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"data_dir": str(snapshot_dir), "bogus": 1}))
-    assert run(["cluster", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert run(["cluster", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"bogus": 1}', "cfg.json: unknown config keys: ['bogus']"),
+    (b'{"k_max": 4,', "cfg.json:1: malformed JSON"),
+    (b'{"data_dir": "caf\xe9"}', "cfg.json: not UTF-8 text"),
+], ids=["unknown_key", "malformed_json", "not_utf8"])
+def test_config_file_error_is_usage_error_naming_the_file(tmp_path, snapshot_dir, capsys,
+                                                          content, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    assert run(["report", "--config", str(cfg_path), "--data-dir", str(snapshot_dir),
+                "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fetch_stub_prints_urls(tmp_path, snapshot_dir, capsys):
@@ -144,9 +159,9 @@ def test_cluster_and_report_write_identical_clusters_json(tmp_path, snapshot_dir
 def test_parameter_error_is_not_hidden_as_excluded_coins(tmp_path, snapshot_dir, capsys):
     code = run(["features", "--data-dir", str(snapshot_dir), "--metric", "price_usd",
                 "--bins", "1", "--out", str(tmp_path)])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
-    assert "need at least 2 bins" in err
+    assert "spectrum_bins must be an integer >= 2, got 1" in err
     assert "no coin produced features" not in err
 
 
@@ -179,7 +194,7 @@ def test_config_file_wrong_type_is_usage_error(tmp_path, snapshot_dir, capsys, c
 @pytest.mark.parametrize("field, value", [
     ("k_max", 1), ("k_max", True), ("seed", -1), ("sigma", float("nan")), ("sigma", "1"),
     ("dfa_min_window", 2), ("dfa_max_window_frac", 0.0), ("lyapunov_max_fit_steps", 2),
-    ("metrics", "price_usd"), ("metrics", []), ("data_dir", 5),
+    ("metrics", "price_usd"), ("metrics", []), ("data_dir", 5), ("spectrum_bins", 1),
 ])
 def test_run_config_rejects_bad_value(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -189,7 +204,7 @@ def test_run_config_rejects_bad_value(field, value):
 def test_run_config_defaults_and_edges_accepted():
     RunConfig()
     RunConfig(sigma=1, k_max=2, seed=0, dfa_min_window=3, dfa_max_window_frac=1,
-              embedding_dim=1, lyapunov_max_fit_steps=3, spectrum_bins=1)
+              embedding_dim=1, lyapunov_max_fit_steps=3, spectrum_bins=2)
 
 
 def test_report_json_does_not_depend_on_where_the_inputs_are(tmp_path, snapshot_dir):
@@ -208,6 +223,57 @@ def test_k_max_at_a_metrics_coin_count_fails_that_metric_only(tmp_path, snapshot
     assert sections["block_time_minutes"]["assignment"]["k"] <= 16
     assert sections["block_size_bytes"]["error"] == \
         "block_size_bytes: k_max=16 needs more than 16 coins, got 16"
+
+
+@pytest.mark.parametrize("command, written", [
+    ("cluster", ["clusters.block_time_minutes.json", "clusters.price_usd.json"]),
+    ("features", ["features.block_size_bytes.csv", "features.block_time_minutes.csv",
+                  "features.price_usd.csv"]),
+])
+def test_every_command_fails_a_metric_alone(tmp_path, snapshot_dir, command, written):
+    assert run([command, "--data-dir", str(snapshot_dir), "--k-max", "16", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+
+
+def test_run_that_writes_nothing_exits_1_after_the_report(tmp_path, snapshot_dir, capsys):
+    assert run(["report", "--data-dir", str(snapshot_dir), "--k-max", "18", "--out", str(tmp_path)]) == 1
+    sections = json.loads((tmp_path / "report.json").read_text())["metrics"]
+    assert all("error" in section for section in sections.values())
+    assert (tmp_path / "report.md").exists()
+    err = capsys.readouterr().err
+    assert "no metric produced output" in err
+    for metric in sections:
+        assert f"{metric}: k_max=18 needs more than 18 coins" in err
+
+
+def _cut_snapshot(snapshot_dir, dest, files, rows=150):
+    """A copy of the snapshot whose named files keep only their first ``rows`` days."""
+    shutil.copytree(snapshot_dir, dest)
+    for name in files:
+        path = dest / name
+        path.write_text("\n".join(path.read_text().splitlines()[: rows + 1]) + "\n")
+    return dest
+
+
+def test_features_names_every_coin_when_a_metric_has_none(tmp_path, snapshot_dir, capsys):
+    names = sorted(p.name for p in snapshot_dir.glob("*.block_time_minutes.csv"))
+    data = _cut_snapshot(snapshot_dir, tmp_path / "data", names)
+    out = tmp_path / "out"
+    assert run(["features", "--data-dir", str(data), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["features.block_size_bytes.csv",
+                                                     "features.price_usd.csv"]
+    coins = ", ".join(name.split(".")[0] for name in names)
+    assert (f"block_time_minutes: failed (no coin produced features for block_time_minutes; "
+            f"{coins}: chaos: need >= 200 observations, got 150)") in capsys.readouterr().out
+
+
+def test_error_section_lists_coins_excluded_before_the_failure(tmp_path, snapshot_dir):
+    data = _cut_snapshot(snapshot_dir, tmp_path / "data", ["bitcoin.block_size_bytes.csv"])
+    out = tmp_path / "out"
+    assert run(["report", "--data-dir", str(data), "--k-max", "15", "--out", str(out)]) == 0
+    section = json.loads((out / "report.json").read_text())["metrics"]["block_size_bytes"]
+    assert section["error"] == "block_size_bytes: k_max=15 needs more than 15 coins, got 15"
+    assert section["excluded"] == {"bitcoin": "chaos: need >= 200 observations, got 150"}
 
 
 def _feature_column(out, column):
