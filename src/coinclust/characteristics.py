@@ -234,7 +234,8 @@ def self_similarity_dfa(values, config: RunConfig | None = None) -> float:
     if s_max <= cfg.dfa_min_window:
         raise TooShortForDfaError(
             f"dfa_min_window={cfg.dfa_min_window} and dfa_max_window_frac={cfg.dfa_max_window_frac} "
-            f"leave fewer than 2 window sizes for {n} observations"
+            "leave fewer than 2 window sizes: the largest window int(n * dfa_max_window_frac) "
+            "must exceed dfa_min_window"
         )
     scales = _log_spaced_windows(cfg.dfa_min_window, s_max, DFA_WINDOW_CANDIDATES)
     log_s, log_f = [], []

@@ -37,12 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     default = RunConfig()
 
-    def add_common(p):
+    def add_inputs(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--data-dir", dest="data_dir", help="directory of <coin>.<metric>.csv files")
         p.add_argument("--profiles", dest="profiles_path", help="mechanism profiles file")
         p.add_argument("--metric", action="append", dest="metrics", choices=ALL_METRICS,
                        help="metric to process (repeatable; default: all)")
+
+    def add_common(p):
+        add_inputs(p)
         p.add_argument("--sigma", type=float, help="similarity bandwidth override (default: median heuristic)")
         for flag, dest, text in (
             ("--bins", "spectrum_bins", "spectrum bins"),
@@ -72,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=run_pipeline, write=write)
 
     p_fetch = sub.add_parser("fetch-stub", help="print upstream chart URLs (no fetching)")
-    add_common(p_fetch)
+    add_inputs(p_fetch)
     p_fetch.add_argument("--coin", help="limit to one coin")
     p_fetch.set_defaults(func=cmd_fetch_stub)
 
@@ -163,7 +166,7 @@ def run_pipeline(cfg: RunConfig, args) -> int:
 
 def cmd_fetch_stub(cfg: RunConfig, args) -> int:
     profiles = load_profiles(cfg.resolved_profiles_path())
-    coins = [args.coin] if getattr(args, "coin", None) else sorted(profiles)
+    coins = [args.coin] if args.coin else sorted(profiles)
     print("# no fetching is performed; these are the conventional source pages")
     for coin in coins:
         for name in cfg.metrics:
@@ -174,7 +177,8 @@ def cmd_fetch_stub(cfg: RunConfig, args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
+        # a field the command takes no flag for (fetch-stub) stays unset
+        cfg = load_config(args.config, {f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -97,6 +97,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         path = Path(path)
         try:
             raw = json.loads(read_utf8(path, ConfigError))
+        except OSError as exc:
+            raise ConfigError(f"{path.name}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path.name}:{exc.lineno}: malformed JSON: {exc.msg}") from None
         if not isinstance(raw, dict):

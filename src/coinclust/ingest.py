@@ -88,23 +88,6 @@ class Series:
             and np.array_equal(self.values, other.values)
         )
 
-    def validate(self, min_len: int = MIN_SERIES_LEN) -> None:
-        """Raise on a malformed series; messages leave naming the source to the caller."""
-        if len(self.dates) != len(self.values):
-            raise MalformedCsvError("dates/values length mismatch")
-        if len(self.values) < min_len:
-            raise TooShortError(f"{len(self.values)} rows < minimum {min_len}")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise NonMonotoneDatesError("dates not strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise MalformedCsvError("non-finite value survived loading")
-        if self.metric is Metric.PRICE:
-            if np.any(self.values < 0):
-                raise NonPositiveValueError("negative price")
-        elif np.any(self.values <= 0):
-            raise NonPositiveValueError(f"{self.metric.value} must be strictly positive")
-
-
 @dataclass
 class MechanismProfile:
     """Blockchain mechanism attributes of one coin."""
@@ -152,8 +135,10 @@ def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LE
     Rows whose value field is empty or non-numeric (including NaN/inf
     tokens) are dropped and counted in ``Series.drop_count``.  Structural
     problems (wrong field count, bad header, bad date, a field the CSV
-    reader refuses) raise instead.  Every error message starts with the
-    file name.
+    reader refuses), a date not after the last kept row's and a value of
+    the wrong sign (a negative price, a block metric <= 0) raise instead.
+    Every error message starts with the file name; a row error goes on
+    with ``:<line>:``.
     """
     path = Path(path)
     dates: list[date] = []
@@ -187,14 +172,21 @@ def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LE
         if not math.isfinite(value):
             dropped += 1
             continue
+        if dates and day <= dates[-1]:
+            raise NonMonotoneDatesError(
+                f"{path.name}:{lineno}: dates not strictly increasing ({day} after {dates[-1]})"
+            )
+        if metric is Metric.PRICE and value < 0:
+            raise NonPositiveValueError(f"{path.name}:{lineno}: negative price {raw}")
+        if metric is not Metric.PRICE and value <= 0:
+            raise NonPositiveValueError(
+                f"{path.name}:{lineno}: {metric.value} must be strictly positive, got {raw}"
+            )
         dates.append(day)
         values.append(value)
-    series = Series(coin_id=coin_id, metric=metric, dates=dates, values=values, drop_count=dropped)
-    try:
-        series.validate(min_len=min_len)
-    except CoinclustError as exc:
-        raise type(exc)(f"{path.name}: {exc}") from None
-    return series
+    if len(values) < min_len:
+        raise TooShortError(f"{path.name}: {len(values)} rows < minimum {min_len}")
+    return Series(coin_id=coin_id, metric=metric, dates=dates, values=values, drop_count=dropped)
 
 
 def write_series(series: Series, path) -> None:

@@ -125,11 +125,26 @@ def test_config_file_error_is_usage_error_naming_the_file(tmp_path, snapshot_dir
     assert not (tmp_path / "out").exists()
 
 
+def test_missing_config_file_is_usage_error_naming_the_file(tmp_path, snapshot_dir, capsys):
+    assert run(["cluster", "--config", str(tmp_path / "nope.json"), "--data-dir", str(snapshot_dir),
+                "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: nope.json: No such file or directory\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_fetch_stub_prints_urls(tmp_path, snapshot_dir, capsys):
     assert run(["fetch-stub", "--data-dir", str(snapshot_dir), "--coin", "bitcoin"]) == 0
     out = capsys.readouterr().out
     assert "https://bitinfocharts.com/comparison/price-bitcoin.html" in out
     assert "no fetching" in out
+
+
+@pytest.mark.parametrize("flag", ["--k-max", "--sigma", "--bins", "--seed", "--out"])
+def test_fetch_stub_refuses_flags_it_does_not_use(snapshot_dir, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["fetch-stub", "--data-dir", str(snapshot_dir), flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 def test_help_documents_config_fields(capsys):
@@ -265,6 +280,39 @@ def test_features_names_every_coin_when_a_metric_has_none(tmp_path, snapshot_dir
     coins = ", ".join(name.split(".")[0] for name in names)
     assert (f"block_time_minutes: failed (no coin produced features for block_time_minutes; "
             f"{coins}: chaos: need >= 200 observations, got 150)") in capsys.readouterr().out
+
+
+def test_dfa_window_grid_reason_is_named_once(tmp_path, snapshot_dir, capsys):
+    reason = ("self_similarity: dfa_min_window=5000 and dfa_max_window_frac=0.25 leave fewer than 2 "
+              "window sizes: the largest window int(n * dfa_max_window_frac) must exceed dfa_min_window")
+    assert run(["features", "--data-dir", str(snapshot_dir), "--metric", "block_time_minutes",
+                "--dfa-min-window", "5000", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no metric produced output; block_time_minutes: failed")
+    assert err.count(reason) == 1 and err.count("self_similarity") == 1
+
+
+def _negate_line_1502(rows):
+    rows[1501] = rows[1501].split(",")[0] + ",-3.0"
+
+
+def _swap_lines_701_702(rows):
+    rows[700], rows[701] = rows[701], rows[700]
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("bitcoin.block_time_minutes.csv", _negate_line_1502,
+     "bitcoin.block_time_minutes.csv:1502: block_time_minutes must be strictly positive, got -3.0"),
+    ("dash.block_time_minutes.csv", _swap_lines_701_702,
+     "dash.block_time_minutes.csv:702: dates not strictly increasing"),
+], ids=["negative_block_time", "swapped_dates"])
+def test_series_row_error_names_file_and_line(tmp_path, snapshot_dir, capsys, name, edit, message):
+    data = shutil.copytree(snapshot_dir, tmp_path / "data")
+    rows = (data / name).read_text().splitlines()
+    edit(rows)
+    (data / name).write_text("\n".join(rows) + "\n")
+    assert run(["features", "--data-dir", str(data), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_error_section_lists_coins_excluded_before_the_failure(tmp_path, snapshot_dir):

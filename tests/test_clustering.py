@@ -367,6 +367,7 @@ def test_dfa_window_grid_too_small_excludes_the_coin_with_the_reason():
     assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]
     assert matrix.excluded == {
         "short": "self_similarity: dfa_min_window=4 and dfa_max_window_frac=0.01 "
-                 "leave fewer than 2 window sizes for 450 observations"
+                 "leave fewer than 2 window sizes: the largest window int(n * dfa_max_window_frac) "
+                 "must exceed dfa_min_window"
     }
     assert np.all(matrix.rows[:, COLUMNS.index("self_similarity")] != 0.0)

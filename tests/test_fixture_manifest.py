@@ -51,12 +51,15 @@ def test_spectrum_matches_manifest(manifest, snapshot_dir):
 
 
 def test_generator_reproduces_the_snapshot(snapshot_dir, tmp_path, monkeypatch):
+    """The generator writes exactly the 51 series CSVs; profiles.txt is curated data it never writes."""
     spec = importlib.util.spec_from_file_location("make_snapshot", REPO_ROOT / "tools" / "make_snapshot.py")
     generator = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generator)
     monkeypatch.setattr(generator, "OUT", tmp_path)
     generator.generate()
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == sorted(p.name for p in snapshot_dir.iterdir())
+    assert not (tmp_path / "profiles.txt").exists()
+    assert len(names) == 51
+    assert names == sorted(p.name for p in snapshot_dir.glob("*.csv"))
     for name in names:
         assert (tmp_path / name).read_bytes() == (snapshot_dir / name).read_bytes(), name

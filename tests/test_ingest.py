@@ -123,6 +123,29 @@ def test_load_series_nan_token_dropped(tmp_path):
     assert len(s) == 2 and s.drop_count == 2
 
 
+@pytest.mark.parametrize("metric, rows, message, error", [
+    (Metric.BLOCK_TIME, ["2019-01-01,5.0", "2019-01-02,-3.0"],
+     "x.csv:3: block_time_minutes must be strictly positive, got -3.0", NonPositiveValueError),
+    (Metric.BLOCK_SIZE, ["2019-01-01,5.0", "2019-01-02,0.0"],
+     "x.csv:3: block_size_bytes must be strictly positive, got 0.0", NonPositiveValueError),
+    (Metric.PRICE, ["2019-01-01,5.0", "2019-01-02,-0.5"],
+     "x.csv:3: negative price -0.5", NonPositiveValueError),
+    (Metric.PRICE, ["2019-01-02,1.0", "2019-01-01,1.0"],
+     "x.csv:3: dates not strictly increasing (2019-01-01 after 2019-01-02)", NonMonotoneDatesError),
+    (Metric.PRICE, ["2019-01-02,1.0", "2019-01-03,", "2019-01-01,1.0"],
+     "x.csv:4: dates not strictly increasing (2019-01-01 after 2019-01-02)", NonMonotoneDatesError),
+], ids=["block_time_negative", "block_size_zero", "price_negative", "swapped_dates",
+        "date_after_a_dropped_row"])
+def test_load_series_row_error_names_file_and_line(tmp_path, metric, rows, message, error):
+    """Sign and date-order errors name their row.  Every file is also below
+    the 30-row minimum: the faulty row is reported before the length."""
+    p = tmp_path / "x.csv"
+    write_csv(p, rows)
+    with pytest.raises(error) as exc:
+        load_series(p, "x", metric)
+    assert str(exc.value) == message
+
+
 def test_round_trip(tmp_path):
     original = make_series(np.array([0.1, 2.5, 3.75, 1e-7, 123456.789]) + 0.1)
     p = tmp_path / "rt.csv"

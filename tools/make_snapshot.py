@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Regenerate the frozen demo snapshot under data/snapshot/.
+"""Regenerate the series CSVs of the frozen demo snapshot under data/snapshot/.
 
-The snapshot is synthetic: seeded processes with per-group dynamics chosen
+The series are synthetic: seeded processes with per-group dynamics chosen
 so the shipped 18-coin dataset exhibits clear cluster structure in all
-three metrics.  Real market data is not redistributed here; the mechanism
-attributes in profiles.txt are curated reference values.
+three metrics.  Real market data is not redistributed here.  The mechanism
+attributes live only in data/snapshot/profiles.txt, curated reference
+values edited by hand; this script neither reads nor writes that file.
+
+``pytest tests/test_acceptance.py -k criterion_8 -s`` checks the snapshot's
+cluster structure and prints the memberships.
 
 Usage:
-    python3 tools/make_snapshot.py [--verify]
+    python3 tools/make_snapshot.py
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -22,12 +24,6 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 OUT = REPO / "data" / "snapshot"
 END = date(2020, 11, 9)
-
-COINS = [
-    "bitcoin", "bitcoin_cash", "bitcoin_gold", "bitcoin_sv", "blackcoin", "dash",
-    "dogecoin", "ethereum", "ethereum_classic", "feathercoin", "litecoin", "monero",
-    "novacoin", "peercoin", "reddcoin", "vertcoin", "xrp", "zcash",
-]
 
 GENESIS = {
     "bitcoin": date(2013, 1, 1),
@@ -86,193 +82,6 @@ SIZE_GROUPS = {
     "large": (["bitcoin", "dash", "monero", "feathercoin"], dict(scale=2.0e5, vol=0.18, f=0.241, amp=0.40)),
     "mid": (["litecoin", "vertcoin", "blackcoin"], dict(scale=2.5e3, vol=0.15, f=0.311, amp=0.40)),
 }
-
-PROFILES_TEXT = """\
-# Mechanism profiles for the demo snapshot.
-# Editorial reference data: consensus, hashing and adjustment parameters as
-# commonly documented for each protocol; not derived from the series files.
-
-coin_id: bitcoin
-fork_origin: none
-consensus: PoW
-hashing_algorithm: SHA-256
-difficulty_adjustment_blocks: 2016
-target_block_time_minutes: 10
-block_size_limit_kind: static
-block_size_limit_bytes: 1000000
-governance: public
-
-coin_id: bitcoin_cash
-fork_origin: bitcoin
-consensus: PoW
-hashing_algorithm: SHA-256
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 10
-block_size_limit_kind: static
-block_size_limit_bytes: 32000000
-governance: public
-
-coin_id: bitcoin_sv
-fork_origin: bitcoin_cash
-consensus: PoW
-hashing_algorithm: SHA-256
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 10
-block_size_limit_kind: static
-block_size_limit_bytes: 128000000
-governance: public
-
-coin_id: bitcoin_gold
-fork_origin: bitcoin
-consensus: PoW
-hashing_algorithm: Equihash
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 10
-block_size_limit_kind: static
-block_size_limit_bytes: 1000000
-governance: public
-
-coin_id: blackcoin
-fork_origin: novacoin
-consensus: PoS
-hashing_algorithm: Scrypt
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 1
-block_size_limit_kind: dynamic
-block_size_limit_bytes: none
-governance: public
-
-coin_id: dash
-fork_origin: litecoin
-consensus: PoW
-hashing_algorithm: X11
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 2.5
-block_size_limit_kind: static
-block_size_limit_bytes: 2000000
-governance: public
-
-coin_id: dogecoin
-fork_origin: litecoin
-consensus: PoW
-hashing_algorithm: Scrypt
-difficulty_adjustment_blocks: 240
-target_block_time_minutes: 1
-block_size_limit_kind: static
-block_size_limit_bytes: 1000000
-governance: public
-
-coin_id: ethereum
-fork_origin: none
-consensus: PoW
-hashing_algorithm: Ethash
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 0.25
-block_size_limit_kind: dynamic
-block_size_limit_bytes: none
-governance: public
-
-coin_id: ethereum_classic
-fork_origin: ethereum
-consensus: PoW
-hashing_algorithm: Ethash
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 0.25
-block_size_limit_kind: dynamic
-block_size_limit_bytes: none
-governance: public
-
-coin_id: feathercoin
-fork_origin: litecoin
-consensus: PoW
-hashing_algorithm: NeoScrypt
-difficulty_adjustment_blocks: 504
-target_block_time_minutes: 1
-block_size_limit_kind: static
-block_size_limit_bytes: 1000000
-governance: public
-
-coin_id: litecoin
-fork_origin: bitcoin
-consensus: PoW
-hashing_algorithm: Scrypt
-difficulty_adjustment_blocks: 2016
-target_block_time_minutes: 2.5
-block_size_limit_kind: static
-block_size_limit_bytes: 1000000
-governance: public
-
-coin_id: monero
-fork_origin: none
-consensus: PoW
-hashing_algorithm: RandomX
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 2
-block_size_limit_kind: dynamic
-block_size_limit_bytes: none
-governance: private
-
-coin_id: novacoin
-fork_origin: peercoin
-consensus: PoS
-hashing_algorithm: Scrypt
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 10
-block_size_limit_kind: static
-block_size_limit_bytes: 1000000
-governance: public
-
-coin_id: peercoin
-fork_origin: bitcoin
-consensus: PoS
-hashing_algorithm: SHA-256
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 10
-block_size_limit_kind: static
-block_size_limit_bytes: 1000000
-governance: private
-
-coin_id: reddcoin
-fork_origin: litecoin
-consensus: PoS
-hashing_algorithm: Scrypt
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 1
-block_size_limit_kind: static
-block_size_limit_bytes: 1000000
-governance: public
-
-coin_id: vertcoin
-fork_origin: litecoin
-consensus: PoW
-hashing_algorithm: Lyra2REv3
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 2.5
-block_size_limit_kind: static
-block_size_limit_bytes: 1000000
-governance: public
-
-coin_id: xrp
-fork_origin: none
-consensus: other
-hashing_algorithm: none
-difficulty_adjustment_blocks: none
-target_block_time_minutes: 0.083
-block_size_limit_kind: none
-block_size_limit_bytes: none
-governance: private
-
-coin_id: zcash
-fork_origin: bitcoin
-consensus: PoW
-hashing_algorithm: Equihash
-difficulty_adjustment_blocks: 1
-target_block_time_minutes: 2.5
-block_size_limit_kind: static
-block_size_limit_bytes: 2000000
-governance: public
-"""
-
 
 def n_days(coin: str) -> int:
     return (END - GENESIS[coin]).days + 1
@@ -349,8 +158,7 @@ def write_csv(path: Path, start: date, values: np.ndarray) -> None:
 
 def generate() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
-    (OUT / "profiles.txt").write_text(PROFILES_TEXT, encoding="utf-8")
-    for coin in COINS:
+    for coin in sorted(GENESIS):
         write_csv(OUT / f"{coin}.price_usd.csv", GENESIS[coin], price_series(coin))
         if coin != "xrp":
             write_csv(OUT / f"{coin}.block_time_minutes.csv", GENESIS[coin], block_time_series(coin))
@@ -359,48 +167,5 @@ def generate() -> None:
     print(f"snapshot written to {OUT}")
 
 
-def verify() -> int:
-    sys.path.insert(0, str(REPO / "src"))
-    from coinclust.clustering import assemble_features, select_k_and_cluster, spectral_embed, kmeans, laplacian_eigendecomposition, similarity_matrix, standardize
-    from coinclust.ingest import Metric, build_dataset
-
-    ok = True
-    for metric in Metric:
-        ds = build_dataset(OUT, OUT / "profiles.txt", metric)
-        std = standardize(assemble_features(ds))
-        a = select_k_and_cluster(std, k_max=6, seed=42)
-        sizes = sorted(np.bincount(a.labels).tolist())
-        print(f"{metric.value}: m={len(std.coin_ids)} k={a.k} sizes={sizes} flags={a.flags}")
-        for cluster in a.clusters():
-            print("   ", cluster)
-        if metric is Metric.PRICE:
-            if a.k != 5 or a.flags:
-                print("  !! price must select k=5 unflagged")
-                ok = False
-            _, eigvecs = laplacian_eigendecomposition(similarity_matrix(std.rows))
-            coords = spectral_embed(eigvecs, 6)
-            labels6, _ = kmeans(coords, 6, seed=42)
-            if min(np.bincount(labels6)) >= 2:
-                print("  !! k=6 must produce a singleton (else selection stops at 6)")
-                ok = False
-        if metric is Metric.BLOCK_TIME:
-            lab = dict(zip(a.coin_ids, a.labels))
-            if lab["peercoin"] != lab["reddcoin"]:
-                print("  !! peercoin and reddcoin must co-cluster on block time")
-                ok = False
-        if metric is Metric.BLOCK_SIZE:
-            lab = dict(zip(a.coin_ids, a.labels))
-            if lab["bitcoin_cash"] != lab["bitcoin_sv"]:
-                print("  !! bitcoin_cash and bitcoin_sv must co-cluster on block size")
-                ok = False
-    print("verify:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
-
-
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--verify", action="store_true", help="run the pipeline on the generated data")
-    args = parser.parse_args()
     generate()
-    if args.verify:
-        sys.exit(verify())
