@@ -220,7 +220,7 @@ def self_similarity_dfa(values, config: RunConfig | None = None) -> float:
     Values near 0.5 indicate uncorrelated increments, near 1.5 a random
     walk; a pure deterministic trend saturates the estimator near 2.
     Zero-variance input returns 0.  A grid with fewer than two window
-    sizes raises ``TooShortForDfaError``.
+    sizes that fit twice in the series raises ``TooShortForDfaError``.
     """
     cfg = config or RunConfig()
     x = np.asarray(values, dtype=float)
@@ -231,26 +231,23 @@ def self_similarity_dfa(values, config: RunConfig | None = None) -> float:
     if np.all(profile == 0.0):
         return 0.0
     s_max = int(n * cfg.dfa_max_window_frac)
+    setting = f"dfa_min_window={cfg.dfa_min_window} and dfa_max_window_frac={cfg.dfa_max_window_frac}"
     if s_max <= cfg.dfa_min_window:
-        raise TooShortForDfaError(
-            f"dfa_min_window={cfg.dfa_min_window} and dfa_max_window_frac={cfg.dfa_max_window_frac} "
-            "leave fewer than 2 window sizes: the largest window int(n * dfa_max_window_frac) "
-            "must exceed dfa_min_window"
-        )
+        raise TooShortForDfaError(f"{setting} leave fewer than 2 window sizes: the largest window "
+                                  "int(n * dfa_max_window_frac) must exceed dfa_min_window")
     scales = _log_spaced_windows(cfg.dfa_min_window, s_max, DFA_WINDOW_CANDIDATES)
+    scales = scales[n // scales >= 2].tolist()
+    if len(scales) < 2:
+        raise TooShortForDfaError(f"{setting} leave fewer than 2 window sizes that fit twice in the series")
     log_s, log_f = [], []
     for s in scales:
-        nwin = n // s
-        if nwin < 2:
-            continue
-        seg = profile[: nwin * s].reshape(nwin, s)
-        t = np.arange(s, dtype=float)
-        tc = t - t.mean()
-        stt = float(np.sum(tc * tc))
-        seg_mean = seg.mean(axis=1, keepdims=True)
-        slope = (seg - seg_mean) @ tc / stt
-        resid = seg - seg_mean - slope[:, None] * tc[None, :]
-        f2 = np.mean(resid * resid)
+        # exact: sum(tc * tc) == s(s^2 - 1)/12, and add.reduce / count is np.mean's arithmetic
+        seg = profile[: n // s * s].reshape(-1, s)
+        tc = np.arange(s) - (s - 1) / 2
+        resid = seg - np.add.reduce(seg, axis=1, keepdims=True) / s
+        resid -= np.multiply.outer(resid @ tc / (s * (s * s - 1) / 12), tc)
+        resid *= resid
+        f2 = np.add.reduce(resid, axis=None) / resid.size
         if f2 > 0.0:
             log_s.append(np.log(s))
             log_f.append(0.5 * np.log(f2))
@@ -290,8 +287,9 @@ def nearest_outside_window(points: np.ndarray, theiler: int, tol2: float) -> np.
     by direct difference; it is taken when its direct distance exceeds
     ``tol2``.  Every other row (ties, near-ties, duplicates, no candidate)
     is settled by direct differences.  Blocks hold at most 2**16 floats in
-    buffers allocated once per call, the second only for rows left open:
-    they stay in cache, and no block page-faults fresh temporaries in.
+    buffers allocated once per call, the second only for rows left open;
+    the masks of pairs within ``theiler`` rows are booleans from outer
+    comparisons of 1-D index ranges, with no (rows x columns) integer temporary.
     """
     n, m = points.shape
     sq = (points * points).sum(axis=1)
@@ -300,9 +298,9 @@ def nearest_outside_window(points: np.ndarray, theiler: int, tol2: float) -> np.
     rhs = np.vstack([-2.0 * coords, sq, np.ones(n)])  # C order: the fast BLAS path
     block = max(1, min(n, 2**16 // n))
     screen = np.empty((block, n))
-    at = np.arange(block)
+    at, span = np.arange(block), np.arange(block + 2 * theiler)
     # band[r, c]: row start + r and column start - theiler + c are too close in time
-    band = np.abs(at[:, None] + theiler - np.arange(block + 2 * theiler)) <= theiler
+    band = np.less_equal.outer(at, span) & np.greater_equal.outer(at + 2 * theiler, span)
     best, first, second = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -336,7 +334,8 @@ def nearest_outside_window(points: np.ndarray, theiler: int, tol2: float) -> np.
             term *= term
             d2 += term
         cols = np.arange(max(0, rows[0] - theiler), min(n, rows[-1] + theiler + 1))
-        d2[:, cols[0] : cols[-1] + 1][np.abs(rows[:, None] - cols) <= theiler] = np.inf
+        near = np.less_equal.outer(rows - theiler, cols) & np.greater_equal.outer(rows + theiler, cols)
+        d2[:, cols[0] : cols[-1] + 1][near] = np.inf
         d2[d2 <= tol2] = np.inf
         nearest = np.argmin(d2, axis=1)
         neighbors[rows] = np.where(np.isfinite(d2[at[: rows.size], nearest]), nearest, -1)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .characteristics import DAYS_PER_FIT_STEP, LYAPUNOV_FIT_STEPS
 from .config import ALL_METRICS, RunConfig, load_config
-from .errors import CoinclustError, ConfigError, NoSeriesLoadedError
+from .errors import CoinclustError, ConfigError, MissingProfileError, NoSeriesLoadedError
 from .ingest import Dataset, Metric, build_dataset, load_profiles, source_url
 from .report import MetricSection, emit_plots, report_run
 
@@ -166,9 +166,10 @@ def run_pipeline(cfg: RunConfig, args) -> int:
 
 def cmd_fetch_stub(cfg: RunConfig, args) -> int:
     profiles = load_profiles(cfg.resolved_profiles_path())
-    coins = [args.coin] if args.coin else sorted(profiles)
+    if args.coin is not None and args.coin not in profiles:
+        raise MissingProfileError(f"{cfg.resolved_profiles_path().name}: no profile for coin {args.coin!r}")
     print("# no fetching is performed; these are the conventional source pages")
-    for coin in coins:
+    for coin in [args.coin] if args.coin is not None else sorted(profiles):
         for name in cfg.metrics:
             print(source_url(coin, Metric(name)))
     return 0

@@ -109,6 +109,43 @@ def dfa_naive(values, min_window=4, max_frac=0.25, candidates=20):
     return float(slope)
 
 
+def dfa_reference_loop(values, min_window=4, max_frac=0.25, candidates=20):
+    """The library's earlier vectorised DFA, its per-scale loop kept verbatim.
+
+    Every scale recomputes the centred times with ``arange``/``mean``/``sum``
+    and the window means with ``mean``; where fewer than two window sizes fit
+    twice in the series it returns 0.0.  The library must equal it bit for bit
+    wherever two or more sizes fit (callers ensure int(n * max_frac) > min_window).
+    """
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    profile = np.cumsum(x - np.mean(x))
+    if np.all(profile == 0.0):
+        return 0.0
+    grid = np.logspace(np.log10(min_window), np.log10(int(n * max_frac)), num=candidates)
+    scales = np.unique(np.clip(np.round(grid).astype(int), min_window, int(n * max_frac)))
+    log_s, log_f = [], []
+    for s in scales:
+        nwin = n // s
+        if nwin < 2:
+            continue
+        seg = profile[: nwin * s].reshape(nwin, s)
+        t = np.arange(s, dtype=float)
+        tc = t - t.mean()
+        stt = float(np.sum(tc * tc))
+        seg_mean = seg.mean(axis=1, keepdims=True)
+        slope = (seg - seg_mean) @ tc / stt
+        resid = seg - seg_mean - slope[:, None] * tc[None, :]
+        f2 = np.mean(resid * resid)
+        if f2 > 0.0:
+            log_s.append(np.log(s))
+            log_f.append(0.5 * np.log(f2))
+    if len(log_s) < 2:
+        return 0.0
+    slope, _ = np.polyfit(log_s, log_f, 1)
+    return float(slope)
+
+
 # --- naive divergence-rate estimate ---------------------------------------------
 
 def lyapunov_naive(values, emb_dim=3, delay=1, steps=None, theiler=None):

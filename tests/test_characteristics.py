@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,11 +22,13 @@ from coinclust.characteristics import (
 )
 from coinclust.config import RunConfig
 from coinclust.errors import TooShortForDfaError, TooShortForLyapunovError
+from coinclust.ingest import Metric, build_dataset
 
 from conftest import make_series, random_walk, white_noise
 from oracles import (
     acf1_direct,
     dfa_naive,
+    dfa_reference_loop,
     lyapunov_naive,
     moments_direct,
     nearest_outside_window_naive,
@@ -183,12 +186,26 @@ def test_dfa_too_short():
     (450, RunConfig(dfa_max_window_frac=0.01)),  # int(4.5) = 4: one window size
     (150, RunConfig(dfa_max_window_frac=0.01)),  # int(1.5) = 1: below the smallest window
     (1_000, RunConfig(dfa_min_window=5_000)),
-], ids=["one_size", "below_min_window", "min_window_above_n"])
+    (1_000, RunConfig(dfa_min_window=600, dfa_max_window_frac=1.0)),  # sizes 600..1000: none fits twice
+    (1_000, RunConfig(dfa_min_window=500, dfa_max_window_frac=1.0)),  # only 500 fits twice
+], ids=["one_size", "below_min_window", "min_window_above_n", "no_size_fits_twice", "one_size_fits_twice"])
 def test_dfa_with_fewer_than_two_window_sizes_raises(n, config):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(TooShortForDfaError, match="dfa_min_window=.* and dfa_max_window_frac="):
+        with pytest.raises(TooShortForDfaError, match="dfa_min_window=.* and dfa_max_window_frac=") as exc:
             self_similarity_dfa(random_walk(n, seed=3), config)
+    assert str(n) not in str(exc.value)  # one reason for every length, so coins group by it
+
+
+@pytest.mark.parametrize("config", [RunConfig(), RunConfig(dfa_min_window=5, dfa_max_window_frac=0.3)],
+                         ids=["defaults", "min_window_5_frac_0.3"])
+def test_dfa_equals_reference_loop_on_every_snapshot_series(snapshot_dir, config):
+    series = [s.values for metric in Metric
+              for s in build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", metric).series.values()]
+    assert len(series) == 51
+    for x in series:
+        assert self_similarity_dfa(x, config) == dfa_reference_loop(
+            x, config.dfa_min_window, config.dfa_max_window_frac)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -270,6 +287,22 @@ def test_neighbor_search_matches_naive_oracle(case):
     points = delay_embedding(x)
     tol2 = (1e-9 * float(np.std(x))) ** 2
     got = nearest_outside_window(points, 10, tol2)
+    assert got.tolist() == nearest_outside_window_naive(points, 10, tol2)
+
+
+def test_neighbor_search_on_a_short_orbit_allocates_no_integer_band():
+    # On a short orbit one block spans every row; a (block x width) int64
+    # time-window band would add two 0.5 MiB temporaries to the 0.5 MiB screen.
+    x = random_walk(265, seed=5)
+    points = delay_embedding(x)
+    tol2 = (1e-9 * float(np.std(x))) ** 2
+    tracemalloc.start()
+    try:
+        got = nearest_outside_window(points, 10, tol2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     assert got.tolist() == nearest_outside_window_naive(points, 10, tol2)
 
 

@@ -139,6 +139,13 @@ def test_fetch_stub_prints_urls(tmp_path, snapshot_dir, capsys):
     assert "no fetching" in out
 
 
+def test_fetch_stub_unknown_coin_is_a_data_error(snapshot_dir, capsys):
+    assert run(["fetch-stub", "--data-dir", str(snapshot_dir), "--coin", "nosuchcoin"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: profiles.txt: no profile for coin 'nosuchcoin'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--k-max", "--sigma", "--bins", "--seed", "--out"])
 def test_fetch_stub_refuses_flags_it_does_not_use(snapshot_dir, capsys, flag):
     with pytest.raises(SystemExit) as exc:

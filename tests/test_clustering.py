@@ -371,3 +371,18 @@ def test_dfa_window_grid_too_small_excludes_the_coin_with_the_reason():
                  "must exceed dfa_min_window"
     }
     assert np.all(matrix.rows[:, COLUMNS.index("self_similarity")] != 0.0)
+
+
+def test_dfa_windows_that_do_not_fit_twice_exclude_coins_under_one_reason():
+    # Window sizes from 600 up to n: 2,000 days fit several of them twice,
+    # 700 and 1,000 days none.
+    series = {f"long{i}": make_series(random_walk(2_000, seed=i, start=100.0), coin_id=f"long{i}")
+              for i in range(4)}
+    for n in (700, 1_000):
+        series[f"short{n}"] = make_series(random_walk(n, seed=n, start=100.0), coin_id=f"short{n}")
+    config = RunConfig(spectrum_bins=16, dfa_min_window=600, dfa_max_window_frac=1.0)
+    matrix = assemble_features(Dataset(metric=Metric.PRICE, series=series, profiles={}), config)
+    assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]
+    reason = ("self_similarity: dfa_min_window=600 and dfa_max_window_frac=1.0 "
+              "leave fewer than 2 window sizes that fit twice in the series")
+    assert matrix.excluded == {"short700": reason, "short1000": reason}

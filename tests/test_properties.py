@@ -5,13 +5,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from coinclust.characteristics import nearest_outside_window
+from coinclust.characteristics import nearest_outside_window, self_similarity_dfa
+from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
 from coinclust.ingest import _PROFILE_KEYS, Metric, load_profiles, load_series
 
-from oracles import nearest_outside_window_naive
+from oracles import dfa_reference_loop, nearest_outside_window_naive
 
 
 @settings(deadline=None, max_examples=25)
@@ -20,7 +21,7 @@ from oracles import nearest_outside_window_naive
     n=st.integers(200, 300),
     decimals=st.integers(0, 4),
     level=st.sampled_from([0.0, 1.0, 1e4]),
-    theiler=st.integers(1, 40),
+    theiler=st.integers(1, 75),  # up to the divergence-rate cap of about n / 4
 )
 def test_neighbor_search_matches_oracle_on_rounded_series(seed, n, decimals, level, theiler):
     x = np.round(level + np.cumsum(np.random.default_rng(seed).standard_normal(n)), decimals)
@@ -28,6 +29,23 @@ def test_neighbor_search_matches_oracle_on_rounded_series(seed, n, decimals, lev
     tol2 = (1e-9 * float(np.std(x))) ** 2
     got = nearest_outside_window(points, theiler, tol2)
     assert got.tolist() == nearest_outside_window_naive(points, theiler, tol2)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(100, 400),
+    decimals=st.integers(0, 4),
+    min_window=st.integers(3, 40),
+    frac=st.floats(0.05, 1.0),
+)
+def test_dfa_equals_reference_loop_bit_for_bit(seed, n, decimals, min_window, frac):
+    # min_window <= 40 < n / 2, so at least two grid sizes fit twice in the
+    # series; above frac 0.5 the sizes that do not fit are skipped.
+    assume(int(n * frac) > min_window)
+    x = np.round(np.cumsum(np.random.default_rng(seed).standard_normal(n)), decimals)
+    config = RunConfig(dfa_min_window=min_window, dfa_max_window_frac=frac)
+    assert self_similarity_dfa(x, config) == dfa_reference_loop(x, min_window, frac)
 
 
 _SERIES_LINES = st.lists(
