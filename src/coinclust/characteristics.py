@@ -19,6 +19,7 @@ from .config import RunConfig
 from .errors import (
     FeatureError,
     NoValidNeighborsError,
+    TooShortError,
     TooShortForDfaError,
     TooShortForLyapunovError,
 )
@@ -71,11 +72,6 @@ class Quantiles(NamedTuple):
     median: float
     upperquant: float
     maximum: float
-
-
-class Trend(NamedTuple):
-    slope: float
-    intercept: float
 
 
 @dataclass
@@ -174,17 +170,6 @@ def ols_line(values) -> tuple[float, float]:
     slope = float(np.sum((t - tbar) * (y - np.mean(y))) / stt)
     intercept = float(np.mean(y) - slope * tbar)
     return slope, intercept
-
-
-def linear_trend(values) -> Trend:
-    """Per-day OLS slope paired with the first observed value.
-
-    The reported ``intercept`` is deliberately the first observation of the
-    series, a level anchor at the series start, not the fitted regression
-    intercept (``ols_line`` provides that one).
-    """
-    slope, _ = ols_line(values)
-    return Trend(slope, float(np.asarray(values, dtype=float)[0]))
 
 
 def autocorrelation_lag1(values) -> float:
@@ -421,37 +406,37 @@ DFA_SATURATION = 1.9
 def compute_characteristics(series, config: RunConfig | None = None) -> CharacteristicVector:
     """Assemble all sixteen characteristics of one series.
 
-    Zero-variance series yield flagged zeros for the shape, correlation and
-    scaling features instead of raising, so one pathological coin cannot
-    abort a batch run.  Other sub-estimator failures propagate with the
-    field name attached.
+    This is where a series is judged usable.  Fewer than
+    ``min_series_len`` values raise ``TooShortError``.  A constant series
+    (``np.ptp == 0``, exact at every level) gets, before any estimator
+    runs, the level as its mean, order statistics and intercept, exactly
+    0.0 in the seven other fields and the flag ``zero_variance``.  Other
+    series go through every estimator; an estimator's own length floor
+    propagates with the field name attached.
     """
     cfg = config or RunConfig()
     values = np.asarray(series.values, dtype=float)
-    flags: list[str] = []
+    if values.size < cfg.min_series_len:
+        raise TooShortError(f"fewer than min_series_len={cfg.min_series_len} rows")
+    if np.ptp(values) == 0.0:
+        level = float(values[0])
+        return CharacteristicVector(
+            level, 0.0, 0.0, 0.0, *[level] * 7, slope=0.0, intercept=level,
+            autocorrelation=0.0, self_similarity=0.0, chaos=0.0, flags=("zero_variance",),
+        )
 
     mom = moments(values)
-    if mom.degenerate:
-        flags.append("zero_variance")
     q = quantiles(values)
-    trend = linear_trend(values)
-
-    if mom.standard_deviation == 0.0:
-        acf = 0.0
-        dfa = 0.0
-        lyap = 0.0
-    else:
-        acf = autocorrelation_lag1(values)
-        try:
-            dfa = self_similarity_dfa(values, cfg)
-        except TooShortForDfaError as exc:
-            raise FeatureError(f"self_similarity: {exc}") from exc
-        try:
-            lyap = chaos_lyapunov(values, cfg)
-        except (TooShortForLyapunovError, NoValidNeighborsError) as exc:
-            raise FeatureError(f"chaos: {exc}") from exc
-        if dfa >= DFA_SATURATION:
-            flags.append("dfa_saturated")
+    slope, _ = ols_line(values)
+    acf = autocorrelation_lag1(values)
+    try:
+        dfa = self_similarity_dfa(values, cfg)
+    except TooShortForDfaError as exc:
+        raise FeatureError(f"self_similarity: {exc}") from exc
+    try:
+        lyap = chaos_lyapunov(values, cfg)
+    except (TooShortForLyapunovError, NoValidNeighborsError) as exc:
+        raise FeatureError(f"chaos: {exc}") from exc
 
     return CharacteristicVector(
         mean=mom.mean,
@@ -465,10 +450,10 @@ def compute_characteristics(series, config: RunConfig | None = None) -> Characte
         upperquant=q.upperquant,
         var99=q.var99,
         var95=q.var95,
-        slope=trend.slope,
-        intercept=trend.intercept,
+        slope=slope,
+        intercept=float(values[0]),
         autocorrelation=acf,
         self_similarity=dfa,
         chaos=lyap,
-        flags=tuple(flags),
+        flags=("dfa_saturated",) if dfa >= DFA_SATURATION else (),
     )

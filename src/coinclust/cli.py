@@ -89,9 +89,7 @@ def build_datasets(cfg: RunConfig) -> tuple[dict[str, Dataset], list[str]]:
     for name in cfg.metrics:
         metric = Metric(name)
         try:
-            datasets[name] = build_dataset(
-                cfg.data_dir, cfg.resolved_profiles_path(), metric, min_len=cfg.min_series_len
-            )
+            datasets[name] = build_dataset(cfg.data_dir, cfg.resolved_profiles_path(), metric)
         except NoSeriesLoadedError:
             notes.append(f"{name}: no series files found")
     if not datasets:

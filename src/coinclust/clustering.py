@@ -141,20 +141,23 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
 def similarity_matrix(rows: np.ndarray, sigma: float | None = None) -> np.ndarray:
     """Gaussian similarity S_ij = exp(-||r_i - r_j||^2 / (2 sigma^2)).
 
-    The bandwidth defaults to the median of the pairwise Euclidean
-    distances, which is scale-stable and parameter-free.  The diagonal is
-    zero by the usual graph convention.  Squared distances are direct
-    differences, one row at a time, so memory stays O(m^2 + m*D) and the
-    matrix is exactly symmetric.
+    The bandwidth defaults to the median of the non-zero pairwise
+    Euclidean distances, which is scale-stable and parameter-free, and
+    which duplicate rows do not pull to zero; only rows that are all
+    identical raise ``DegenerateGeometryError``.  The diagonal is zero by
+    the usual graph convention.  Squared distances are direct differences,
+    one row at a time, so memory stays O(m^2 + m*D) and the matrix is
+    exactly symmetric.
     """
     x = np.asarray(rows, dtype=float)
     m = x.shape[0]
     sq = np.array([((x - row) ** 2).sum(axis=1) for row in x])
     if sigma is None:
         dists = np.sqrt(sq[np.triu_indices(m, k=1)])
-        sigma = float(np.median(dists))
-        if sigma == 0.0:
+        dists = dists[dists > 0.0]
+        if dists.size == 0:
             raise DegenerateGeometryError("all pairwise distances are zero")
+        sigma = float(np.median(dists))
     s = np.exp(-sq / (2.0 * sigma * sigma))
     np.fill_diagonal(s, 0.0)
     return s

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .ingest import MIN_SERIES_LEN, Metric, read_utf8
+from .ingest import Metric, read_utf8
 from .spectrum import DEFAULT_BINS
 
 ALL_METRICS = [m.value for m in Metric]
@@ -54,7 +54,7 @@ class RunConfig:
     k_max: int = DEFAULT_K_MAX
     seed: int = DEFAULT_SEED
     sigma: float | None = None  # similarity bandwidth override
-    min_series_len: int = MIN_SERIES_LEN
+    min_series_len: int = 30
     dfa_min_window: int = 4
     dfa_max_window_frac: float = 0.25
     embedding_dim: int = 3
@@ -71,6 +71,8 @@ class RunConfig:
                 and all(m in ALL_METRICS for m in self.metrics)):
             raise ConfigError(f"metrics must be a non-empty list drawn from {ALL_METRICS}, "
                               f"got {self.metrics!r}")
+        # each metric once, in ALL_METRICS order, however the flags spelled the set
+        self.metrics = [m for m in ALL_METRICS if m in self.metrics]
         for name, low in _INT_MINIMUM.items():
             value = getattr(self, name)
             if name == "lyapunov_max_fit_steps" and value is None:

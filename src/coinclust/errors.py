@@ -15,10 +15,6 @@ class MalformedCsvError(CoinclustError):
     """A CSV row has the wrong structure (field count, bad date, bad header)."""
 
 
-class TooShortError(CoinclustError):
-    """Fewer retained rows than the configured minimum series length."""
-
-
 class NonPositiveValueError(CoinclustError):
     """A block metric value <= 0 or a negative price; treated as corrupt source data."""
 
@@ -52,6 +48,10 @@ class MissingProfileError(CoinclustError):
 
 
 # --- feature extraction ---
+
+class TooShortError(CoinclustError):
+    """Fewer values than the configured minimum series length."""
+
 
 class TooShortForDfaError(CoinclustError):
     """Series too short for a stable fluctuation-analysis exponent."""

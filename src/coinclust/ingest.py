@@ -1,9 +1,9 @@
 """File-based loading of per-coin daily series and mechanism profiles.
 
 Series live in one CSV per coin and metric, named ``<coin_id>.<metric>.csv``
-with header ``date,value`` (ISO dates, decimal values).  Mechanism profiles
-live in a single key/value text file, one block per coin; see
-``docs/data_formats.md`` for the exact grammar.
+with header ``date,value`` (``YYYY-MM-DD`` dates, decimal values).
+Mechanism profiles live in a single key/value text file, one block per
+coin; see ``docs/data_formats.md`` for the exact grammar.
 
 There is no live fetching: the upstream chart site has no stable API, so
 ingestion is file-based and ``source_url`` only documents where the numbers
@@ -33,11 +33,8 @@ from .errors import (
     NonMonotoneDatesError,
     NonPositiveValueError,
     ProfileParseError,
-    TooShortError,
     UnknownEnumTokenError,
 )
-
-MIN_SERIES_LEN = 30
 
 
 class Metric(str, enum.Enum):
@@ -129,16 +126,18 @@ def read_utf8(path: Path, error: type[CoinclustError]) -> str:
         raise error(f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LEN) -> Series:
+def load_series(path, coin_id: str, metric: Metric) -> Series:
     """Load and validate one series CSV.
 
     Rows whose value field is empty or non-numeric (including NaN/inf
     tokens) are dropped and counted in ``Series.drop_count``.  Structural
-    problems (wrong field count, bad header, bad date, a field the CSV
-    reader refuses), a date not after the last kept row's and a value of
-    the wrong sign (a negative price, a block metric <= 0) raise instead.
-    Every error message starts with the file name; a row error goes on
-    with ``:<line>:``.
+    problems (wrong field count, bad header, a date not written
+    ``YYYY-MM-DD``, a field the CSV reader refuses), a date not after the
+    last kept row's and a value of the wrong sign (a negative price, a
+    block metric <= 0) raise instead.  Every error message starts with the
+    file name; a row error goes on with ``:<line>:``.  Only the format is
+    checked here: a series too short to use is excluded per coin by
+    ``compute_characteristics``.
     """
     path = Path(path)
     dates: list[date] = []
@@ -159,8 +158,12 @@ def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LE
             continue
         if len(row) != 2:
             raise MalformedCsvError(f"{path.name}:{lineno}: expected 2 fields, got {len(row)}")
+        text = row[0].strip()
         try:
-            day = date.fromisoformat(row[0].strip())
+            # YYYY-MM-DD only: fromisoformat also takes 20190101 and 2019-W01-1 from Python 3.11
+            if len(text) != 10 or text[4] != "-" or text[7] != "-":
+                raise ValueError
+            day = date.fromisoformat(text)
         except ValueError:
             raise MalformedCsvError(f"{path.name}:{lineno}: bad date {row[0]!r}") from None
         raw = row[1].strip()
@@ -184,8 +187,6 @@ def load_series(path, coin_id: str, metric: Metric, min_len: int = MIN_SERIES_LE
             )
         dates.append(day)
         values.append(value)
-    if len(values) < min_len:
-        raise TooShortError(f"{path.name}: {len(values)} rows < minimum {min_len}")
     return Series(coin_id=coin_id, metric=metric, dates=dates, values=values, drop_count=dropped)
 
 
@@ -305,7 +306,7 @@ def load_profiles(path) -> dict[str, MechanismProfile]:
     return profiles
 
 
-def build_dataset(series_dir, profiles_path, metric: Metric, min_len: int = MIN_SERIES_LEN) -> Dataset:
+def build_dataset(series_dir, profiles_path, metric: Metric) -> Dataset:
     """Load every ``<coin_id>.<metric>.csv`` under ``series_dir``.
 
     Coins that have a profile but no file for this metric are reported in
@@ -321,7 +322,7 @@ def build_dataset(series_dir, profiles_path, metric: Metric, min_len: int = MIN_
         coin_id = path.name[: -len(suffix)]
         if coin_id not in profiles:
             raise MissingProfileError(f"{path.name}: no profile for coin {coin_id!r}")
-        series[coin_id] = load_series(path, coin_id, metric, min_len=min_len)
+        series[coin_id] = load_series(path, coin_id, metric)
         fingerprints[path.name] = _sha256(path)
     if not series:
         raise NoSeriesLoadedError(f"no {metric.value} series found in {series_dir}")

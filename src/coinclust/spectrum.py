@@ -45,13 +45,14 @@ def periodogram(values) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (frequencies, raw_power) for k = 1..n//2, frequencies in cycles
     per day.  The DC bin is excluded (the series is demeaned, so it is zero
-    anyway).
+    anyway).  A constant series (``np.ptp == 0``) has zero power, not the
+    rounding noise that subtracting its computed mean would leave.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 8:
         raise TooShortForSpectrumError(f"need >= 8 observations, got {n}")
-    f = np.fft.rfft(x - np.mean(x))
+    f = np.fft.rfft(x - np.mean(x) if np.ptp(x) > 0.0 else np.zeros(n))
     power = np.abs(f[1 : n // 2 + 1]) ** 2
     freqs = np.arange(1, n // 2 + 1, dtype=float) / n
     return freqs, power

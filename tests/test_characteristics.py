@@ -13,7 +13,6 @@ from coinclust.characteristics import (
     autocorrelation_lag1,
     chaos_lyapunov,
     compute_characteristics,
-    linear_trend,
     moments,
     nearest_outside_window,
     ols_line,
@@ -21,7 +20,7 @@ from coinclust.characteristics import (
     self_similarity_dfa,
 )
 from coinclust.config import RunConfig
-from coinclust.errors import TooShortForDfaError, TooShortForLyapunovError
+from coinclust.errors import TooShortError, TooShortForDfaError, TooShortForLyapunovError
 from coinclust.ingest import Metric, build_dataset
 
 from conftest import make_series, random_walk, white_noise
@@ -106,15 +105,18 @@ def test_quantile_ordering_invariant():
 # --- linear trend --------------------------------------------------------------
 
 def test_trend_exact_line():
-    t = linear_trend([2, 4, 6, 8])
-    assert t.slope == pytest.approx(2.0)
-    assert t.intercept == 2.0  # first observed value
+    slope, intercept = ols_line([2, 4, 6, 8])
+    assert (slope, intercept) == (pytest.approx(2.0), pytest.approx(2.0))
+    vec = compute_characteristics(make_series(3.0 + 2.0 * np.arange(300)))
+    assert vec.slope == pytest.approx(2.0)
+    assert vec.intercept == 3.0  # first observed value
 
 
 def test_trend_constant():
-    t = linear_trend([5.0, 5.0, 5.0])
-    assert t.slope == pytest.approx(0.0)
-    assert t.intercept == 5.0
+    slope, _ = ols_line([5.0, 5.0, 5.0])
+    assert slope == pytest.approx(0.0)
+    vec = compute_characteristics(make_series(np.full(300, 5.0)))
+    assert (vec.slope, vec.intercept) == (0.0, 5.0)
 
 
 def test_trend_noisy_line_within_ols_band():
@@ -344,6 +346,13 @@ def test_constant_series_flagged_zeros():
     assert vec.skewness == 0.0 and vec.kurtosis == 0.0 and vec.autocorrelation == 0.0
     assert vec.self_similarity == 0.0 and vec.chaos == 0.0
     assert "zero_variance" in vec.flags
+
+
+@pytest.mark.parametrize("n, config", [(29, RunConfig()), (39, RunConfig(min_series_len=40))])
+def test_series_below_min_series_len_raises_naming_the_setting(n, config):
+    with pytest.raises(TooShortError) as exc:
+        compute_characteristics(make_series(np.full(n, 4.0)), config)
+    assert str(exc.value) == f"fewer than min_series_len={config.min_series_len} rows"
 
 
 def test_vector_matches_field_order():

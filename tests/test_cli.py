@@ -331,6 +331,37 @@ def test_error_section_lists_coins_excluded_before_the_failure(tmp_path, snapsho
     assert section["excluded"] == {"bitcoin": "chaos: need >= 200 observations, got 150"}
 
 
+def test_series_below_min_series_len_is_excluded_per_coin(tmp_path, snapshot_dir):
+    data = _cut_snapshot(snapshot_dir, tmp_path / "data", ["bitcoin.price_usd.csv"], rows=20)
+    cut, whole = tmp_path / "cut", tmp_path / "whole"
+    assert run(["report", "--data-dir", str(data), "--out", str(cut)]) == 0
+    assert run(["report", "--data-dir", str(snapshot_dir), "--out", str(whole)]) == 0
+    sections = [json.loads((out / "report.json").read_text())["metrics"] for out in (cut, whole)]
+    assert sections[0]["price_usd"]["excluded"] == {"bitcoin": "fewer than min_series_len=30 rows"}
+    assert all("bitcoin" not in c["coins"] for c in sections[0]["price_usd"]["assignment"]["clusters"])
+    for metric in ("block_time_minutes", "block_size_bytes"):
+        assert sections[0][metric] == sections[1][metric]
+        for name in (f"clusters.{metric}.json", f"projection.{metric}.csv", f"clusters.{metric}.svg"):
+            assert (cut / name).read_bytes() == (whole / name).read_bytes()
+
+
+def test_two_spellings_of_a_metric_set_give_the_same_report(tmp_path, snapshot_dir, capsys):
+    reports = []
+    spellings = {"a": ["--metric", "block_size_bytes", "--metric", "price_usd", "--metric", "price_usd"],
+                 "b": ["--metric", "price_usd", "--metric", "block_size_bytes"]}
+    for name, flags in spellings.items():
+        assert run(["report", "--data-dir", str(snapshot_dir), *flags, "--out", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config"]["metrics"] == ["price_usd", "block_size_bytes"]
+    capsys.readouterr()
+    assert run(["fetch-stub", "--data-dir", str(snapshot_dir), "--coin", "bitcoin", *spellings["a"]]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "https://bitinfocharts.com/comparison/price-bitcoin.html",
+        "https://bitinfocharts.com/comparison/size-bitcoin.html",
+    ]
+
+
 def _feature_column(out, column):
     lines = (out / "features.price_usd.csv").read_text().splitlines()
     j = lines[0].split(",").index(column)

@@ -252,6 +252,17 @@ def test_select_k_identical_points_flagged():
     assert "degenerate_geometry" in a.flags
 
 
+def test_duplicate_rows_take_the_bandwidth_from_the_non_zero_distances():
+    # The median pairwise distance is 0 (15 of 28 pairs are duplicates), so
+    # sigma is the median of the 12 non-zero distances, all sqrt(50).
+    rows = np.vstack([np.zeros((6, 2)), np.full((2, 2), 5.0)])
+    s = similarity_matrix(rows)
+    assert s[0, 6] == pytest.approx(np.exp(-0.5)) and s[0, 1] == 1.0 and s[6, 7] == 1.0
+    a = select_k_and_cluster(fm(rows), seed=1)
+    assert a.labels == [0] * 6 + [1] * 2
+    assert a.flags == ()
+
+
 def test_select_k_requires_enough_coins():
     with pytest.raises(NoUsableCoinsError):
         select_k_and_cluster(fm(np.eye(3)), k_max=2, seed=0)

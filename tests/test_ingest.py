@@ -12,7 +12,6 @@ from coinclust.errors import (
     NonMonotoneDatesError,
     NonPositiveValueError,
     ProfileParseError,
-    TooShortError,
     UnknownEnumTokenError,
 )
 from coinclust.ingest import (
@@ -54,7 +53,7 @@ governance: public
 def test_load_series_identity(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, [f"2019-01-0{i},{float(i)}" for i in range(1, 5)])
-    s = load_series(p, "x", Metric.PRICE, min_len=3)
+    s = load_series(p, "x", Metric.PRICE)
     assert len(s) == 4
     assert s.dates[0] == date(2019, 1, 1)
     assert list(s.values) == [1.0, 2.0, 3.0, 4.0]
@@ -74,38 +73,33 @@ def test_load_series_drops_empty_values(tmp_path):
     assert s.drop_count == 1
 
 
-def test_load_series_too_short(tmp_path):
-    p = tmp_path / "x.csv"
-    write_csv(p, [f"2019-01-{i:02d},1.0" for i in range(1, 30)])
-    with pytest.raises(TooShortError):
-        load_series(p, "x", Metric.PRICE)
-
-
 def test_load_series_structural_error(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-01,1.0,extra"])
     with pytest.raises(MalformedCsvError):
-        load_series(p, "x", Metric.PRICE, min_len=1)
+        load_series(p, "x", Metric.PRICE)
 
 
 def test_load_series_bad_date(tmp_path):
+    # 20190101 and the ISO week date 2019-W01-1 are ISO 8601 but not YYYY-MM-DD
     p = tmp_path / "x.csv"
-    write_csv(p, ["01/02/2019,1.0"])
-    with pytest.raises(MalformedCsvError):
-        load_series(p, "x", Metric.PRICE, min_len=1)
+    for text in ("01/02/2019", "20190101", "2019-W01-1"):
+        write_csv(p, ["2018-12-30,1.0", f"{text},1.0"])
+        with pytest.raises(MalformedCsvError, match=f"^x.csv:3: bad date '{text}'$"):
+            load_series(p, "x", Metric.PRICE)
 
 
 def test_load_series_nonpositive_block_metric(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-01,5.0", "2019-01-02,0.0", "2019-01-03,2.0"])
     with pytest.raises(NonPositiveValueError):
-        load_series(p, "x", Metric.BLOCK_TIME, min_len=2)
+        load_series(p, "x", Metric.BLOCK_TIME)
 
 
 def test_load_series_zero_price_allowed(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-01,0.0", "2019-01-02,1.0"])
-    s = load_series(p, "x", Metric.PRICE, min_len=2)
+    s = load_series(p, "x", Metric.PRICE)
     assert s.values[0] == 0.0
 
 
@@ -113,13 +107,13 @@ def test_load_series_non_monotone(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-02,1.0", "2019-01-01,2.0"])
     with pytest.raises(NonMonotoneDatesError):
-        load_series(p, "x", Metric.PRICE, min_len=2)
+        load_series(p, "x", Metric.PRICE)
 
 
 def test_load_series_nan_token_dropped(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-01,1.0", "2019-01-02,nan", "2019-01-03,inf", "2019-01-04,2.0"])
-    s = load_series(p, "x", Metric.PRICE, min_len=2)
+    s = load_series(p, "x", Metric.PRICE)
     assert len(s) == 2 and s.drop_count == 2
 
 
@@ -137,8 +131,7 @@ def test_load_series_nan_token_dropped(tmp_path):
 ], ids=["block_time_negative", "block_size_zero", "price_negative", "swapped_dates",
         "date_after_a_dropped_row"])
 def test_load_series_row_error_names_file_and_line(tmp_path, metric, rows, message, error):
-    """Sign and date-order errors name their row.  Every file is also below
-    the 30-row minimum: the faulty row is reported before the length."""
+    """Sign and date-order errors name their row."""
     p = tmp_path / "x.csv"
     write_csv(p, rows)
     with pytest.raises(error) as exc:
@@ -150,7 +143,7 @@ def test_round_trip(tmp_path):
     original = make_series(np.array([0.1, 2.5, 3.75, 1e-7, 123456.789]) + 0.1)
     p = tmp_path / "rt.csv"
     write_series(original, p)
-    reloaded = load_series(p, original.coin_id, original.metric, min_len=1)
+    reloaded = load_series(p, original.coin_id, original.metric)
     assert reloaded == original
 
 
@@ -158,7 +151,7 @@ def test_drop_count_conservation(tmp_path):
     rows = [f"2019-01-{i:02d},{i}.5" for i in range(1, 28)] + ["2019-02-01,oops", "2019-02-02,"]
     p = tmp_path / "x.csv"
     write_csv(p, rows)
-    s = load_series(p, "x", Metric.PRICE, min_len=10)
+    s = load_series(p, "x", Metric.PRICE)
     assert len(s) + s.drop_count == len(rows)
 
 

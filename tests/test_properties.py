@@ -5,13 +5,15 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from coinclust.characteristics import nearest_outside_window, self_similarity_dfa
+from coinclust.characteristics import compute_characteristics, nearest_outside_window, self_similarity_dfa
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
 from coinclust.ingest import _PROFILE_KEYS, Metric, load_profiles, load_series
+from coinclust.spectrum import spectrum_feature
 
+from conftest import make_series
 from oracles import dfa_reference_loop, nearest_outside_window_naive
 
 
@@ -48,6 +50,21 @@ def test_dfa_equals_reference_loop_bit_for_bit(seed, n, decimals, min_window, fr
     assert self_similarity_dfa(x, config) == dfa_reference_loop(x, min_window, frac)
 
 
+@settings(deadline=None)
+@given(level=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), n=st.integers(200, 1500))
+@example(level=0.1, n=300)
+@example(level=0.1, n=1000)
+def test_constant_series_gives_the_flagged_row_and_the_degenerate_spectrum(level, n):
+    # np.mean rounds most levels (0.1 among them), so a test of the computed
+    # standard deviation, or of the demeaned spectrum, misses such a series.
+    series = make_series(np.full(n, level))
+    vec = compute_characteristics(series)
+    assert vec.values().tolist() == [level, 0.0, 0.0, 0.0] + [level] * 7 + [0.0, level, 0.0, 0.0, 0.0]
+    assert vec.flags == ("zero_variance",)
+    spec = spectrum_feature(series, 40)
+    assert spec.degenerate and spec.bins.tolist() == [1.0 / 40] * 40
+
+
 _SERIES_LINES = st.lists(
     st.one_of(
         st.sampled_from(["date,value", "2019-01-01,1.5", "2019-01-02,nan", "2019-01-03,",
@@ -82,11 +99,11 @@ def test_load_series_gives_a_series_or_a_coinclust_error(data):
         path = Path(tmp) / "x.price_usd.csv"
         path.write_bytes(data)
         try:
-            series = load_series(path, "x", Metric.PRICE, min_len=1)
+            series = load_series(path, "x", Metric.PRICE)
         except CoinclustError as exc:
             assert str(exc).startswith("x.price_usd.csv")
         else:
-            assert len(series) >= 1 and np.all(np.isfinite(series.values))
+            assert len(series) == series.values.size and np.all(np.isfinite(series.values))
 
 
 @settings(deadline=None, max_examples=150)
