@@ -16,13 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import RunConfig
-from .errors import (
-    FeatureError,
-    NoValidNeighborsError,
-    TooShortError,
-    TooShortForDfaError,
-    TooShortForLyapunovError,
-)
+from .errors import CoinclustError
 
 # Flattened feature order; names double as CSV/JSON column labels.  The
 # CharacteristicVector attribute of each column is its lower-cased name.
@@ -122,7 +116,7 @@ def moments(values) -> Moments:
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 2:
-        raise FeatureError("moments: need at least 2 observations")
+        raise CoinclustError("moments: need at least 2 observations")
     mean = float(np.mean(x))
     d = x - mean
     m2 = float(np.mean(d * d))
@@ -153,7 +147,7 @@ def quantiles(values) -> Quantiles:
     """
     x = np.asarray(values, dtype=float)
     if x.size == 0:
-        raise FeatureError("quantiles: empty input")
+        raise CoinclustError("quantiles: empty input")
     q = np.quantile(x, [0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 1.0], method="linear")
     return Quantiles(*(float(v) for v in q))
 
@@ -163,7 +157,7 @@ def ols_line(values) -> tuple[float, float]:
     y = np.asarray(values, dtype=float)
     n = y.size
     if n < 2:
-        raise FeatureError("ols_line: need at least 2 observations")
+        raise CoinclustError("ols_line: need at least 2 observations")
     t = np.arange(n, dtype=float)
     tbar = (n - 1) / 2.0
     stt = float(np.sum((t - tbar) ** 2))
@@ -180,7 +174,7 @@ def autocorrelation_lag1(values) -> float:
     """
     x = np.asarray(values, dtype=float)
     if x.size < 3:
-        raise FeatureError("autocorrelation: need at least 3 observations")
+        raise CoinclustError("autocorrelation: need at least 3 observations")
     d = x - np.mean(x)
     denom = float(np.sum(d * d))
     if denom == 0.0:
@@ -205,25 +199,26 @@ def self_similarity_dfa(values, config: RunConfig | None = None) -> float:
     Values near 0.5 indicate uncorrelated increments, near 1.5 a random
     walk; a pure deterministic trend saturates the estimator near 2.
     Zero-variance input returns 0.  A grid with fewer than two window
-    sizes that fit twice in the series raises ``TooShortForDfaError``.
+    sizes that fit twice in the series raises ``CoinclustError``.
     """
     cfg = config or RunConfig()
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < MIN_DFA_LEN:
-        raise TooShortForDfaError(f"need >= {MIN_DFA_LEN} observations, got {n}")
+        raise CoinclustError(f"self_similarity: need >= {MIN_DFA_LEN} observations, got {n}")
     profile = np.cumsum(x - np.mean(x))
     if np.all(profile == 0.0):
         return 0.0
     s_max = int(n * cfg.dfa_max_window_frac)
-    setting = f"dfa_min_window={cfg.dfa_min_window} and dfa_max_window_frac={cfg.dfa_max_window_frac}"
+    setting = (f"self_similarity: dfa_min_window={cfg.dfa_min_window} "
+               f"and dfa_max_window_frac={cfg.dfa_max_window_frac}")
     if s_max <= cfg.dfa_min_window:
-        raise TooShortForDfaError(f"{setting} leave fewer than 2 window sizes: the largest window "
-                                  "int(n * dfa_max_window_frac) must exceed dfa_min_window")
+        raise CoinclustError(f"{setting} leave fewer than 2 window sizes: the largest window "
+                             "int(n * dfa_max_window_frac) must exceed dfa_min_window")
     scales = _log_spaced_windows(cfg.dfa_min_window, s_max, DFA_WINDOW_CANDIDATES)
     scales = scales[n // scales >= 2].tolist()
     if len(scales) < 2:
-        raise TooShortForDfaError(f"{setting} leave fewer than 2 window sizes that fit twice in the series")
+        raise CoinclustError(f"{setting} leave fewer than 2 window sizes that fit twice in the series")
     log_s, log_f = [], []
     for s in scales:
         # exact: sum(tc * tc) == s(s^2 - 1)/12, and add.reduce / count is np.mean's arithmetic
@@ -348,7 +343,7 @@ def chaos_lyapunov(values, config: RunConfig | None = None) -> float:
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < MIN_LYAPUNOV_LEN:
-        raise TooShortForLyapunovError(f"need >= {MIN_LYAPUNOV_LEN} observations, got {n}")
+        raise CoinclustError(f"chaos: need >= {MIN_LYAPUNOV_LEN} observations, got {n}")
     if np.ptp(x) == 0.0:
         return 0.0
 
@@ -357,20 +352,22 @@ def chaos_lyapunov(values, config: RunConfig | None = None) -> float:
     steps = cfg.lyapunov_max_fit_steps or min(LYAPUNOV_FIT_STEPS, n // DAYS_PER_FIT_STEP)
     steps = max(3, min(steps, n_points - 2))
 
+    # Pairs must be followable for `steps` steps; an embedding as long as
+    # the series leaves no points at all (n_points <= 0).
+    last = n_points - steps
+    if last < 2:
+        raise CoinclustError("chaos: not enough points to follow divergence trajectories")
     orbit = np.column_stack([x[i * tau : i * tau + n_points] for i in range(m)])
     theiler = max(1, min(_mean_period(x), (n_points - steps - 2) // 4))
 
-    # Pairs must be followable for `steps` steps.  Candidates closer than
-    # round-off scale are numerically identical trajectories and carry no
-    # dynamical information, so they are excluded like exact duplicates.
-    last = n_points - steps
-    if last < 2:
-        raise TooShortForLyapunovError("not enough points to follow divergence trajectories")
+    # Candidates closer than round-off scale are numerically identical
+    # trajectories and carry no dynamical information, so they are
+    # excluded like exact duplicates.
     tol2 = (1e-9 * float(np.std(x))) ** 2
     neighbors = nearest_outside_window(orbit[:last], theiler, tol2)
     valid = neighbors >= 0
     if not np.any(valid):
-        raise NoValidNeighborsError("no positive-distance neighbor outside the temporal window")
+        raise CoinclustError("chaos: no positive-distance neighbor outside the temporal window")
     idx, nbr = np.flatnonzero(valid), neighbors[valid]
 
     log_div = np.empty(steps + 1)
@@ -382,7 +379,7 @@ def chaos_lyapunov(values, config: RunConfig | None = None) -> float:
     keep = np.isfinite(log_div)
     ks, log_div = ks[keep], log_div[keep]
     if ks.size < 3:
-        raise NoValidNeighborsError("divergence curve too sparse to fit")
+        raise CoinclustError("chaos: divergence curve too sparse to fit")
 
     # Restrict the fit to the initial rise: stop at 90% of the total climb
     # once the curve demonstrably saturates, else use the whole range.
@@ -407,17 +404,17 @@ def compute_characteristics(series, config: RunConfig | None = None) -> Characte
     """Assemble all sixteen characteristics of one series.
 
     This is where a series is judged usable.  Fewer than
-    ``min_series_len`` values raise ``TooShortError``.  A constant series
+    ``min_series_len`` values raise ``CoinclustError``.  A constant series
     (``np.ptp == 0``, exact at every level) gets, before any estimator
     runs, the level as its mean, order statistics and intercept, exactly
     0.0 in the seven other fields and the flag ``zero_variance``.  Other
     series go through every estimator; an estimator's own length floor
-    propagates with the field name attached.
+    propagates, its message starting with the field name.
     """
     cfg = config or RunConfig()
     values = np.asarray(series.values, dtype=float)
     if values.size < cfg.min_series_len:
-        raise TooShortError(f"fewer than min_series_len={cfg.min_series_len} rows")
+        raise CoinclustError(f"fewer than min_series_len={cfg.min_series_len} rows")
     if np.ptp(values) == 0.0:
         level = float(values[0])
         return CharacteristicVector(
@@ -429,14 +426,8 @@ def compute_characteristics(series, config: RunConfig | None = None) -> Characte
     q = quantiles(values)
     slope, _ = ols_line(values)
     acf = autocorrelation_lag1(values)
-    try:
-        dfa = self_similarity_dfa(values, cfg)
-    except TooShortForDfaError as exc:
-        raise FeatureError(f"self_similarity: {exc}") from exc
-    try:
-        lyap = chaos_lyapunov(values, cfg)
-    except (TooShortForLyapunovError, NoValidNeighborsError) as exc:
-        raise FeatureError(f"chaos: {exc}") from exc
+    dfa = self_similarity_dfa(values, cfg)
+    lyap = chaos_lyapunov(values, cfg)
 
     return CharacteristicVector(
         mean=mom.mean,

@@ -11,7 +11,7 @@ before the failure; a command that writes no per-metric file exits 1.
 use (no network access happens here).
 
 Exit codes: 0 success, 1 data error, 2 usage error (a bad flag, parameter
-or config file).
+or config file).  Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .characteristics import DAYS_PER_FIT_STEP, LYAPUNOV_FIT_STEPS
 from .config import ALL_METRICS, RunConfig, load_config
-from .errors import CoinclustError, ConfigError, MissingProfileError, NoSeriesLoadedError
+from .errors import CoinclustError, ConfigError, NoSeriesLoadedError
 from .ingest import Dataset, Metric, build_dataset, load_profiles, source_url
 from .report import MetricSection, emit_plots, report_run
 
@@ -165,7 +165,7 @@ def run_pipeline(cfg: RunConfig, args) -> int:
 def cmd_fetch_stub(cfg: RunConfig, args) -> int:
     profiles = load_profiles(cfg.resolved_profiles_path())
     if args.coin is not None and args.coin not in profiles:
-        raise MissingProfileError(f"{cfg.resolved_profiles_path().name}: no profile for coin {args.coin!r}")
+        raise CoinclustError(f"{cfg.resolved_profiles_path().name}: no profile for coin {args.coin!r}")
     print("# no fetching is performed; these are the conventional source pages")
     for coin in [args.coin] if args.coin is not None else sorted(profiles):
         for name in cfg.metrics:
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CoinclustError, OSError, ValueError) as exc:
+    except (CoinclustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .characteristics import COLUMNS, compute_characteristics
 from .config import DEFAULT_K_MAX, DEFAULT_SEED, RunConfig
-from .errors import CoinclustError, DegenerateGeometryError, EigenFailureError, NoUsableCoinsError
+from .errors import CoinclustError, DegenerateGeometryError
 from .ingest import Dataset
 from .spectrum import bin_names, spectrum_feature
 
@@ -36,10 +36,6 @@ class FeatureMatrix:
     dropped_columns: list[str] = field(default_factory=list)
     excluded: dict[str, str] = field(default_factory=dict)
     coin_flags: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.shape
 
 
 @dataclass
@@ -80,8 +76,8 @@ def assemble_features(dataset: Dataset, config: RunConfig | None = None) -> Feat
     Coins whose data cannot yield features (a ``CoinclustError``) are
     excluded and recorded in ``excluded`` rather than failing the whole
     batch; any other exception is a parameter or programming error and
-    propagates.  When every coin is excluded, the ``NoUsableCoinsError``
-    names each reason once with the coins that share it.
+    propagates.  When every coin is excluded, the error names each reason
+    once with the coins that share it.
     """
     cfg = config or RunConfig()
     coin_ids: list[str] = []
@@ -105,7 +101,7 @@ def assemble_features(dataset: Dataset, config: RunConfig | None = None) -> Feat
         coins_by_reason: dict[str, list[str]] = {}
         for coin_id, reason in excluded.items():
             coins_by_reason.setdefault(reason, []).append(coin_id)
-        raise NoUsableCoinsError(f"no coin produced features for {dataset.metric.value}" + "".join(
+        raise CoinclustError(f"no coin produced features for {dataset.metric.value}" + "".join(
             f"; {', '.join(coins)}: {reason}" for reason, coins in coins_by_reason.items()))
     return FeatureMatrix(
         coin_ids=coin_ids,
@@ -122,7 +118,7 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
     and recorded, since they carry no clustering information."""
     rows = matrix.rows
     if rows.shape[0] < 2:
-        raise NoUsableCoinsError("need at least 2 coins to standardize")
+        raise CoinclustError("need at least 2 coins to standardize")
     mean = rows.mean(axis=0)
     sd = rows.std(axis=0, ddof=1)
     keep = sd > 0.0
@@ -182,7 +178,7 @@ def laplacian_eigendecomposition(similarity: np.ndarray) -> tuple[np.ndarray, np
     try:
         return np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
-        raise EigenFailureError(str(exc)) from exc
+        raise CoinclustError(str(exc)) from exc
 
 
 def spectral_embed(eigvecs: np.ndarray, k: int) -> np.ndarray:
@@ -280,15 +276,15 @@ def select_k_and_cluster(
     returned flagged.  Identical-point geometries cannot be clustered
     meaningfully and come back as a flagged deterministic halving.  Fewer
     than 4 coins, or no more coins than ``k_max``, raise
-    ``NoUsableCoinsError``.
+    ``CoinclustError``.
     """
     m = len(matrix.coin_ids)
     if k_max < 2:
         raise ValueError(f"need k_max >= 2, got {k_max}")
     if m < 4:
-        raise NoUsableCoinsError(f"need at least 4 coins to cluster, got {m}")
+        raise CoinclustError(f"need at least 4 coins to cluster, got {m}")
     if k_max >= m:
-        raise NoUsableCoinsError(
+        raise CoinclustError(
             f"{matrix.metric}: k_max={k_max} needs more than {k_max} coins, got {m}"
         )
     try:

@@ -42,7 +42,10 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass
@@ -79,8 +82,11 @@ class RunConfig:
                 continue
             if not _is_int(value) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.sigma is not None and not (_is_real(self.sigma) and self.sigma > 0):
-            raise ConfigError(f"sigma must be a positive number, got {self.sigma!r}")
+        # similarity_matrix divides by 2*sigma*sigma, which must not round to 0 or inf
+        if self.sigma is not None and not (_is_real(self.sigma) and self.sigma > 0
+                                           and 0 < 2.0 * self.sigma * self.sigma < math.inf):
+            raise ConfigError(f"sigma must be a positive number whose 2*sigma**2 is a positive "
+                              f"finite float, got {self.sigma!r}")
         if not (_is_real(self.dfa_max_window_frac) and 0 < self.dfa_max_window_frac <= 1):
             raise ConfigError(f"dfa_max_window_frac must be a number in (0, 1], "
                               f"got {self.dfa_max_window_frac!r}")

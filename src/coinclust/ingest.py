@@ -23,18 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CoinclustError,
-    DuplicateCoinError,
-    MalformedCsvError,
-    MissingProfileError,
-    MissingRequiredFieldError,
-    NoSeriesLoadedError,
-    NonMonotoneDatesError,
-    NonPositiveValueError,
-    ProfileParseError,
-    UnknownEnumTokenError,
-)
+from .errors import CoinclustError, NoSeriesLoadedError
 
 
 class Metric(str, enum.Enum):
@@ -118,7 +107,7 @@ class Dataset:
         return sorted(self.series)
 
 
-def read_utf8(path: Path, error: type[CoinclustError]) -> str:
+def read_utf8(path: Path, error: type[CoinclustError] = CoinclustError) -> str:
     """The file's text; bytes that are not UTF-8 raise ``error`` naming the file."""
     try:
         return path.read_bytes().decode("utf-8")
@@ -143,21 +132,21 @@ def load_series(path, coin_id: str, metric: Metric) -> Series:
     dates: list[date] = []
     values: list[float] = []
     dropped = 0
-    reader = csv.reader(io.StringIO(read_utf8(path, MalformedCsvError), newline=""))
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:
-        raise MalformedCsvError(f"{path.name}:{reader.line_num}: {exc}") from None
+        raise CoinclustError(f"{path.name}:{reader.line_num}: {exc}") from None
     if not rows:
-        raise MalformedCsvError(f"{path.name}: empty file")
+        raise CoinclustError(f"{path.name}: empty file")
     header = rows[0]
     if [h.strip().lower() for h in header] != ["date", "value"]:
-        raise MalformedCsvError(f"{path.name}: expected header 'date,value', got {header!r}")
+        raise CoinclustError(f"{path.name}: expected header 'date,value', got {header!r}")
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 2:
-            raise MalformedCsvError(f"{path.name}:{lineno}: expected 2 fields, got {len(row)}")
+            raise CoinclustError(f"{path.name}:{lineno}: expected 2 fields, got {len(row)}")
         text = row[0].strip()
         try:
             # YYYY-MM-DD only: fromisoformat also takes 20190101 and 2019-W01-1 from Python 3.11
@@ -165,7 +154,7 @@ def load_series(path, coin_id: str, metric: Metric) -> Series:
                 raise ValueError
             day = date.fromisoformat(text)
         except ValueError:
-            raise MalformedCsvError(f"{path.name}:{lineno}: bad date {row[0]!r}") from None
+            raise CoinclustError(f"{path.name}:{lineno}: bad date {row[0]!r}") from None
         raw = row[1].strip()
         try:
             value = float(raw)
@@ -176,13 +165,13 @@ def load_series(path, coin_id: str, metric: Metric) -> Series:
             dropped += 1
             continue
         if dates and day <= dates[-1]:
-            raise NonMonotoneDatesError(
+            raise CoinclustError(
                 f"{path.name}:{lineno}: dates not strictly increasing ({day} after {dates[-1]})"
             )
         if metric is Metric.PRICE and value < 0:
-            raise NonPositiveValueError(f"{path.name}:{lineno}: negative price {raw}")
+            raise CoinclustError(f"{path.name}:{lineno}: negative price {raw}")
         if metric is not Metric.PRICE and value <= 0:
-            raise NonPositiveValueError(
+            raise CoinclustError(
                 f"{path.name}:{lineno}: {metric.value} must be strictly positive, got {raw}"
             )
         dates.append(day)
@@ -220,10 +209,10 @@ def _profile_from_block(block: dict[str, str], lines: dict[str, int], source: st
 
     for key in _REQUIRED_KEYS:
         if key not in block:
-            raise MissingRequiredFieldError(f"{at()}: missing required field {key!r}")
+            raise CoinclustError(f"{at()}: missing required field {key!r}")
     unknown = [key for key in block if key not in _PROFILE_KEYS]
     if unknown:
-        raise ProfileParseError(f"{at(unknown[0])}: unknown profile keys {sorted(unknown)}")
+        raise CoinclustError(f"{at(unknown[0])}: unknown profile keys {sorted(unknown)}")
 
     def optional(key):
         tok = block.get(key, "none")
@@ -234,7 +223,7 @@ def _profile_from_block(block: dict[str, str], lines: dict[str, int], source: st
             if value.value == block[key]:
                 return value
         allowed = ", ".join(m.value for m in enum_cls)
-        raise UnknownEnumTokenError(f"{at(key)}: {key}={block[key]!r} not one of {{{allowed}}}")
+        raise CoinclustError(f"{at(key)}: {key}={block[key]!r} not one of {{{allowed}}}")
 
     def positive(key, cast):
         """The key's positive finite value (nan fails the test too), or None."""
@@ -247,7 +236,7 @@ def _profile_from_block(block: dict[str, str], lines: dict[str, int], source: st
             value = None
         if value is None or not 0 < value < np.inf:
             kind = "integer" if cast is int else "finite number"
-            raise ProfileParseError(f"{at(key)}: {key} must be a positive {kind}, got {tok!r}")
+            raise CoinclustError(f"{at(key)}: {key} must be a positive {kind}, got {tok!r}")
         return value
 
     diff = positive("difficulty_adjustment_blocks", int)
@@ -282,24 +271,24 @@ def load_profiles(path) -> dict[str, MechanismProfile]:
             return
         profile = _profile_from_block(block, lines, path.name)
         if profile.coin_id in profiles:
-            raise DuplicateCoinError(
+            raise CoinclustError(
                 f"{path.name}:{min(lines.values())}: duplicate coin_id {profile.coin_id!r}"
             )
         profiles[profile.coin_id] = profile
         block.clear()
         lines.clear()
 
-    for lineno, raw in enumerate(io.StringIO(read_utf8(path, ProfileParseError), newline=None), start=1):
+    for lineno, raw in enumerate(io.StringIO(read_utf8(path), newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             flush()
             continue
         if ":" not in line:
-            raise ProfileParseError(f"{path.name}:{lineno}: expected 'key: value'")
+            raise CoinclustError(f"{path.name}:{lineno}: expected 'key: value'")
         key, _, value = line.partition(":")
         key, value = key.strip(), value.strip()
         if key in block:
-            raise ProfileParseError(f"{path.name}:{lineno}: repeated key {key!r} in block")
+            raise CoinclustError(f"{path.name}:{lineno}: repeated key {key!r} in block")
         block[key] = value
         lines[key] = lineno
     flush()
@@ -321,7 +310,7 @@ def build_dataset(series_dir, profiles_path, metric: Metric) -> Dataset:
     for path in sorted(series_dir.glob(f"*{suffix}")):
         coin_id = path.name[: -len(suffix)]
         if coin_id not in profiles:
-            raise MissingProfileError(f"{path.name}: no profile for coin {coin_id!r}")
+            raise CoinclustError(f"{path.name}: no profile for coin {coin_id!r}")
         series[coin_id] = load_series(path, coin_id, metric)
         fingerprints[path.name] = _sha256(path)
     if not series:

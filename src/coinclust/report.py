@@ -18,7 +18,7 @@ from .clustering import (
     ClusterAssignment, FeatureMatrix, assemble_features, select_k_and_cluster, standardize,
 )
 from .config import RunConfig
-from .errors import CoinclustError, MissingProfileError
+from .errors import CoinclustError
 from .ingest import Dataset, MechanismProfile
 from .projection import Projection3D, pca3
 
@@ -82,7 +82,7 @@ def crosstab(assignment: ClusterAssignment, profiles: dict[str, MechanismProfile
     """
     missing = [c for c in assignment.coin_ids if c not in profiles]
     if missing:
-        raise MissingProfileError(f"no profiles for {missing}")
+        raise CoinclustError(f"no profiles for {missing}")
     rows = []
     weighted: dict[str, float] = {attr: 0.0 for attr in CROSSTAB_ATTRIBUTES}
     total = len(assignment.coin_ids)
@@ -186,11 +186,8 @@ def emit_plots(projection: Projection3D, assignment: ClusterAssignment, out_dir)
     metric = assignment.metric or "metric"
     csv_path = out_dir / f"projection.{metric}.csv"
     svg_path = out_dir / f"clusters.{metric}.svg"
-    try:
-        csv_path.write_text(projection_csv_text(projection, assignment), encoding="utf-8")
-        svg_path.write_text(scatter_svg_text(projection, assignment), encoding="utf-8")
-    except OSError as exc:
-        raise CoinclustError(f"cannot write plot files: {exc}") from exc
+    csv_path.write_text(projection_csv_text(projection, assignment), encoding="utf-8")
+    svg_path.write_text(scatter_svg_text(projection, assignment), encoding="utf-8")
     return [csv_path, svg_path]
 
 

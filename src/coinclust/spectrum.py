@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooShortForSpectrumError
+from .errors import CoinclustError
 
 DEFAULT_BINS = 200
 
@@ -51,7 +51,7 @@ def periodogram(values) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 8:
-        raise TooShortForSpectrumError(f"need >= 8 observations, got {n}")
+        raise CoinclustError(f"need >= 8 observations, got {n}")
     f = np.fft.rfft(x - np.mean(x) if np.ptp(x) > 0.0 else np.zeros(n))
     power = np.abs(f[1 : n // 2 + 1]) ** 2
     freqs = np.arange(1, n // 2 + 1, dtype=float) / n
@@ -69,7 +69,7 @@ def resample_spectrum(frequencies, raw_power, k: int = DEFAULT_BINS) -> PowerSpe
     freqs = np.asarray(frequencies, dtype=float)
     power = np.asarray(raw_power, dtype=float)
     if power.size == 0:
-        raise TooShortForSpectrumError("empty raw power")
+        raise CoinclustError("empty raw power")
     if k < 2:
         raise ValueError("need at least 2 bins")
     grid = 0.5 * np.arange(1, k + 1, dtype=float) / k

@@ -7,11 +7,11 @@ import pytest
 from coinclust.cli import build_parser, main
 from coinclust.characteristics import COLUMNS, chaos_lyapunov, self_similarity_dfa
 from coinclust.config import RunConfig
-from coinclust.errors import ConfigError
+from coinclust.errors import CoinclustError, ConfigError
 from coinclust.ingest import Metric, build_dataset
 from coinclust.spectrum import bin_names
 
-from conftest import FIXTURE_DIR, SNAPSHOT_DIR
+from conftest import FIXTURE_DIR, SNAPSHOT_DIR, random_walk
 
 
 def run(args):
@@ -192,7 +192,10 @@ def test_parameter_error_is_not_hidden_as_excluded_coins(tmp_path, snapshot_dir,
     ["--embedding-delay", "0"],
     ["--lyap-fit-steps", "-1"],
     ["--embedding-dim", "0"],
-], ids=["sigma_0", "embedding_delay_0", "lyap_fit_steps_negative", "embedding_dim_0"])
+    ["--sigma", "1e-200"],
+    ["--sigma", "1e200"],
+], ids=["sigma_0", "embedding_delay_0", "lyap_fit_steps_negative", "embedding_dim_0",
+        "sigma_squared_underflows", "sigma_squared_overflows"])
 def test_out_of_range_parameter_is_usage_error(tmp_path, snapshot_dir, capsys, flags):
     code = run(["cluster", "--data-dir", str(snapshot_dir), "--metric", "price_usd",
                 *flags, "--out", str(tmp_path)])
@@ -217,6 +220,8 @@ def test_config_file_wrong_type_is_usage_error(tmp_path, snapshot_dir, capsys, c
     ("k_max", 1), ("k_max", True), ("seed", -1), ("sigma", float("nan")), ("sigma", "1"),
     ("dfa_min_window", 2), ("dfa_max_window_frac", 0.0), ("lyapunov_max_fit_steps", 2),
     ("metrics", "price_usd"), ("metrics", []), ("data_dir", 5), ("spectrum_bins", 1),
+    pytest.param("sigma", 10**400, id="sigma-int_beyond_float"),
+    pytest.param("dfa_max_window_frac", 10**400, id="dfa_max_window_frac-int_beyond_float"),
 ])
 def test_run_config_rejects_bad_value(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -227,6 +232,8 @@ def test_run_config_defaults_and_edges_accepted():
     RunConfig()
     RunConfig(sigma=1, k_max=2, seed=0, dfa_min_window=3, dfa_max_window_frac=1,
               embedding_dim=1, lyapunov_max_fit_steps=3, spectrum_bins=2)
+    RunConfig(sigma=1e-150)  # 2 * sigma**2 = 2e-300
+    RunConfig(sigma=1e150)
 
 
 def test_report_json_does_not_depend_on_where_the_inputs_are(tmp_path, snapshot_dir):
@@ -396,3 +403,36 @@ def test_estimator_flag_reaches_the_estimator(tmp_path, snapshot_dir, default_pr
     config = RunConfig(**{field: value})
     dataset = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
     assert got == {coin: estimator(s.values, config) for coin, s in dataset.series.items()}
+
+
+@pytest.mark.parametrize("delay, code", [(1000, 0), (2000, 1)])
+def test_embedding_longer_than_a_series_excludes_that_coin(tmp_path, snapshot_dir, capsys, delay, code):
+    # (embedding_dim - 1) * delay days leave fewer than the 5 embedded points
+    # the divergence fit needs in every series up to 2 * delay + 4 days
+    reason = "chaos: not enough points to follow divergence trajectories"
+    dataset = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
+    short = sorted(c for c in dataset.coin_ids() if len(dataset.series[c]) < 2 * delay + 5)
+    assert run(["features", "--data-dir", str(snapshot_dir), "--metric", "price_usd",
+                "--embedding-delay", str(delay), "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert 0 < len(short) < len(dataset.series)
+        assert f"{len(dataset.series) - len(short)} coins, 216 columns" in captured.out
+        assert "".join(f"\n  skipped {c}: {reason}" for c in short) in captured.out
+    else:
+        assert short == dataset.coin_ids()
+        assert captured.err.endswith(f"{', '.join(short)}: {reason})\n")
+
+
+def test_embedding_longer_than_the_series_raises_a_chaos_error():
+    with pytest.raises(CoinclustError, match=r"^chaos: not enough points to follow divergence trajectories$"):
+        chaos_lyapunov(random_walk(300, seed=1), RunConfig(embedding_dim=400))
+
+
+def test_programming_error_propagates_instead_of_exit_1(tmp_path, snapshot_dir, monkeypatch):
+    def broken(matrix):
+        raise ValueError("bug in a stage")
+
+    monkeypatch.setattr("coinclust.report.pca3", broken)
+    with pytest.raises(ValueError, match="^bug in a stage$"):
+        run(["report", "--data-dir", str(snapshot_dir), "--metric", "price_usd", "--out", str(tmp_path)])

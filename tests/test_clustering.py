@@ -17,7 +17,7 @@ from coinclust.clustering import (
 )
 from coinclust.characteristics import COLUMNS
 from coinclust.config import RunConfig
-from coinclust.errors import DegenerateGeometryError, NoUsableCoinsError
+from coinclust.errors import CoinclustError, DegenerateGeometryError
 from coinclust.ingest import Dataset, Metric, build_dataset
 
 from conftest import make_series, random_walk
@@ -123,7 +123,7 @@ def test_similarity_row_by_row_is_small_symmetric_and_bit_identical():
 
 
 def test_similarity_degenerate():
-    with pytest.raises(DegenerateGeometryError):
+    with pytest.raises(DegenerateGeometryError, match="^all pairwise distances are zero$"):
         similarity_matrix(np.ones((4, 3)))
 
 
@@ -264,13 +264,13 @@ def test_duplicate_rows_take_the_bandwidth_from_the_non_zero_distances():
 
 
 def test_select_k_requires_enough_coins():
-    with pytest.raises(NoUsableCoinsError):
+    with pytest.raises(CoinclustError, match=r"^need at least 4 coins to cluster, got 3$"):
         select_k_and_cluster(fm(np.eye(3)), k_max=2, seed=0)
 
 
 def test_k_max_reaching_the_coin_count_names_the_metric():
     rows = np.random.default_rng(0).standard_normal((5, 3))
-    with pytest.raises(NoUsableCoinsError, match=r"^test: k_max=5 needs more than 5 coins, got 5$"):
+    with pytest.raises(CoinclustError, match=r"^test: k_max=5 needs more than 5 coins, got 5$"):
         select_k_and_cluster(fm(rows), k_max=5, seed=0)
     with pytest.raises(ValueError, match="k_max >= 2"):
         select_k_and_cluster(fm(rows), k_max=1, seed=0)
@@ -397,3 +397,12 @@ def test_dfa_windows_that_do_not_fit_twice_exclude_coins_under_one_reason():
     reason = ("self_similarity: dfa_min_window=600 and dfa_max_window_frac=1.0 "
               "leave fewer than 2 window sizes that fit twice in the series")
     assert matrix.excluded == {"short700": reason, "short1000": reason}
+
+
+def test_eigensolver_failure_is_a_coinclust_error(monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(CoinclustError, match="^Eigenvalues did not converge$"):
+        laplacian_eigendecomposition(np.ones((4, 4)))

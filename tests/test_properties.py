@@ -1,5 +1,6 @@
 """Property tests: library routes against the naive oracles, and loaders on drawn inputs."""
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -10,7 +11,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from coinclust.characteristics import compute_characteristics, nearest_outside_window, self_similarity_dfa
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
-from coinclust.ingest import _PROFILE_KEYS, Metric, load_profiles, load_series
+from coinclust.ingest import (
+    _PROFILE_KEYS, BlockSizeLimitKind, Consensus, Dataset, Governance, MechanismProfile, Metric,
+    load_profiles, load_series,
+)
+from coinclust.report import report_run
 from coinclust.spectrum import spectrum_feature
 
 from conftest import make_series
@@ -121,3 +126,66 @@ def test_load_profiles_gives_profiles_or_a_coinclust_error(data):
             for value in (profile.difficulty_adjustment_blocks, profile.target_block_time_minutes,
                           profile.block_size_limit_bytes):
                 assert value is None or 0 < value < math.inf
+
+
+def _sweep_datasets() -> dict[str, Dataset]:
+    """Three metrics of 200-400-day series with the inputs that break estimators:
+    a duplicated series, a constant one, a stablecoin-like peg, integer-quantized
+    values, and a coin that lacks one metric."""
+    rng = np.random.default_rng(2024)
+    coins = ["walk1", "walk2", "walk3", "walk4", "twin", "flat", "peg", "steps", "absent"]
+    profiles = {
+        coin: MechanismProfile(coin, list(Consensus)[i % 3], ["sha256", "scrypt"][i % 2],
+                               list(BlockSizeLimitKind)[i % 3], list(Governance)[i % 2])
+        for i, coin in enumerate(coins)
+    }
+    datasets = {}
+    for metric in Metric:
+        values = {f"walk{i}": 50.0 * np.exp(0.02 * np.cumsum(rng.standard_normal(rng.integers(200, 401))))
+                  for i in range(1, 5)}
+        values["twin"] = values["walk1"].copy()
+        values["flat"] = np.full(250, 7.0)
+        values["peg"] = 1.0 + np.round(0.002 * rng.standard_normal(300), 4)
+        values["steps"] = np.round(10.0 + np.abs(np.cumsum(rng.standard_normal(320))))
+        if metric is not Metric.BLOCK_SIZE:
+            values["absent"] = 3.0 + rng.random(210)
+        series = {coin: make_series(v, coin_id=coin, metric=metric) for coin, v in values.items()}
+        missing = sorted(set(coins) - set(series))
+        datasets[metric.value] = Dataset(metric=metric, series=series, profiles=profiles, missing=missing)
+    return datasets
+
+
+_SWEEP_DATASETS = _sweep_datasets()
+
+
+def _usual_or_any(low: int, usual: int, most: int):
+    """Integers up to ``usual`` half the time, so some examples cluster, else up to ``most``."""
+    return st.one_of(st.integers(low, usual), st.integers(low, most))
+
+
+@settings(deadline=None, max_examples=20)
+@given(config=st.builds(
+    RunConfig,
+    spectrum_bins=st.integers(2, 64),
+    k_max=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.one_of(st.none(), st.floats(1e-160, 9e153)),  # 2*sigma**2 from subnormal to near overflow
+    min_series_len=_usual_or_any(1, 60, 450),
+    dfa_min_window=_usual_or_any(3, 12, 250),
+    dfa_max_window_frac=st.floats(0.0, 1.0, exclude_min=True),
+    embedding_dim=_usual_or_any(1, 5, 12),
+    embedding_delay=_usual_or_any(1, 4, 300),  # up to embeddings longer than every series
+    lyapunov_max_fit_steps=st.one_of(st.none(), st.integers(3, 500)),
+))
+@example(config=RunConfig(embedding_delay=300))
+@example(config=RunConfig(sigma=1e-160))
+def test_any_in_range_config_gives_a_finite_report_or_a_section_error(config):
+    report = report_run(_SWEEP_DATASETS, config)
+    assert sorted(report.sections) == sorted(_SWEEP_DATASETS)
+    for section in report.sections.values():
+        if section.features is not None:
+            assert np.all(np.isfinite(section.features.rows))
+        if section.error is None:
+            json.dumps(section.as_dict(), allow_nan=False)
+        else:
+            assert isinstance(section.error, str) and section.error

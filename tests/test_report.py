@@ -3,7 +3,7 @@ import pytest
 
 from coinclust.clustering import ClusterAssignment
 from coinclust.config import RunConfig
-from coinclust.errors import MissingProfileError
+from coinclust.errors import CoinclustError
 from coinclust.ingest import (
     BlockSizeLimitKind,
     Consensus,
@@ -94,7 +94,7 @@ def test_crosstab_pos_pair_cluster():
 
 def test_crosstab_missing_profile():
     a = assignment_of([["x1", "x2"], ["y1", "y2"]])
-    with pytest.raises(MissingProfileError):
+    with pytest.raises(CoinclustError, match=r"^no profiles for \['x2', 'y1', 'y2'\]$"):
         crosstab(a, {"x1": profile("x1")})
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coinclust.spectrum import bin_names, periodogram, resample_spectrum, spectrum_feature
-from coinclust.errors import TooShortForSpectrumError
+from coinclust.errors import CoinclustError
 
 from conftest import make_series, white_noise
 from oracles import dft_matrix_power
@@ -36,7 +36,7 @@ def test_periodogram_matches_dft_matrix_oracle(n):
 
 
 def test_periodogram_too_short():
-    with pytest.raises(TooShortForSpectrumError):
+    with pytest.raises(CoinclustError, match=r"^need >= 8 observations, got 7$"):
         periodogram(np.ones(7))
 
 
