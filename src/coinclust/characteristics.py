@@ -55,7 +55,6 @@ class Moments(NamedTuple):
     standard_deviation: float
     skewness: float
     kurtosis: float
-    degenerate: bool
 
 
 class Quantiles(NamedTuple):
@@ -110,8 +109,8 @@ def moments(values) -> Moments:
     Fisher-Pearson coefficient G1 and kurtosis is bias-corrected *excess*
     kurtosis G2 (0 for a normal sample), matching the defaults of the common
     statistical packages.  Zero-variance input yields skewness and kurtosis
-    of 0 with ``degenerate=True``; so do samples too short for the
-    correction factors (n < 3 for skewness, n < 4 for kurtosis).
+    of 0; so do samples too short for the correction factors (n < 3 for
+    skewness, n < 4 for kurtosis).
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -122,21 +121,17 @@ def moments(values) -> Moments:
     m2 = float(np.mean(d * d))
     sd = float(np.sqrt(m2 * n / (n - 1)))
     if m2 == 0.0:
-        return Moments(mean, 0.0, 0.0, 0.0, True)
+        return Moments(mean, 0.0, 0.0, 0.0)
     m3 = float(np.mean(d**3))
     m4 = float(np.mean(d**4))
-    degenerate = False
+    skew = kurt = 0.0
     if n >= 3:
         g1 = m3 / m2**1.5
         skew = g1 * np.sqrt(n * (n - 1)) / (n - 2)
-    else:
-        skew, degenerate = 0.0, True
     if n >= 4:
         g2 = m4 / (m2 * m2) - 3.0
         kurt = ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
-    else:
-        kurt, degenerate = 0.0, True
-    return Moments(mean, sd, float(skew), float(kurt), degenerate)
+    return Moments(mean, sd, float(skew), float(kurt))
 
 
 def quantiles(values) -> Quantiles:
@@ -300,7 +295,8 @@ def nearest_outside_window(points: np.ndarray, theiler: int, tol2: float) -> np.
     direct = terms[:, 0].copy()
     for k in range(1, m):
         direct += terms[:, k]
-    settled = (second - first > slack) & (direct > tol2)
+    # no subtraction: a row with no candidate has first = second = inf
+    settled = (second > first + slack) & (direct > tol2)
     neighbors = np.where(settled, best, -1)
     todo = np.flatnonzero(~settled)
     scratch = np.empty((min(block, todo.size), n))  # empty unless a row is left open

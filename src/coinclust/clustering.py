@@ -129,8 +129,6 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
         column_names=[c for c, k in zip(matrix.column_names, keep) if k],
         metric=matrix.metric,
         dropped_columns=[c for c, k in zip(matrix.column_names, keep) if not k],
-        excluded=dict(matrix.excluded),
-        coin_flags=dict(matrix.coin_flags),
     )
 
 
@@ -140,21 +138,23 @@ def similarity_matrix(rows: np.ndarray, sigma: float | None = None) -> np.ndarra
     The bandwidth defaults to the median of the non-zero pairwise
     Euclidean distances, which is scale-stable and parameter-free, and
     which duplicate rows do not pull to zero; only rows that are all
-    identical raise ``DegenerateGeometryError``.  The diagonal is zero by
-    the usual graph convention.  Squared distances are direct differences,
-    one row at a time, so memory stays O(m^2 + m*D) and the matrix is
-    exactly symmetric.
+    identical raise ``DegenerateGeometryError``, whether or not sigma is
+    given.  The diagonal is zero by the usual graph convention.  Squared
+    distances are direct differences, one row at a time, so memory stays
+    O(m^2 + m*D) and the matrix is exactly symmetric.
     """
     x = np.asarray(rows, dtype=float)
     m = x.shape[0]
     sq = np.array([((x - row) ** 2).sum(axis=1) for row in x])
+    if not sq.any():
+        raise DegenerateGeometryError("all pairwise distances are zero")
     if sigma is None:
         dists = np.sqrt(sq[np.triu_indices(m, k=1)])
-        dists = dists[dists > 0.0]
-        if dists.size == 0:
-            raise DegenerateGeometryError("all pairwise distances are zero")
-        sigma = float(np.median(dists))
-    s = np.exp(-sq / (2.0 * sigma * sigma))
+        sigma = float(np.median(dists[dists > 0.0]))
+    # A sigma near its lower bound overflows the exponent to -inf, and
+    # exp(-inf) = 0 is the right limit.
+    with np.errstate(over="ignore"):
+        s = np.exp(-sq / (2.0 * sigma * sigma))
     np.fill_diagonal(s, 0.0)
     return s
 

@@ -51,11 +51,8 @@ class Governance(str, enum.Enum):
 
 @dataclass
 class Series:
-    """One coin, one metric: dated daily observations."""
+    """One coin, one metric: the retained daily values, in date order."""
 
-    coin_id: str
-    metric: Metric
-    dates: list[date]
     values: np.ndarray
     drop_count: int = 0
 
@@ -63,16 +60,8 @@ class Series:
         self.values = np.asarray(self.values, dtype=float)
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return self.values.size
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Series)
-            and self.coin_id == other.coin_id
-            and self.metric == other.metric
-            and self.dates == other.dates
-            and np.array_equal(self.values, other.values)
-        )
 
 @dataclass
 class MechanismProfile:
@@ -115,21 +104,22 @@ def read_utf8(path: Path, error: type[CoinclustError] = CoinclustError) -> str:
         raise error(f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def load_series(path, coin_id: str, metric: Metric) -> Series:
-    """Load and validate one series CSV.
+def load_series(path, metric: Metric) -> Series:
+    """Load and validate one series CSV; the result keeps only the values.
 
-    Rows whose value field is empty or non-numeric (including NaN/inf
-    tokens) are dropped and counted in ``Series.drop_count``.  Structural
-    problems (wrong field count, bad header, a date not written
-    ``YYYY-MM-DD``, a field the CSV reader refuses), a date not after the
-    last kept row's and a value of the wrong sign (a negative price, a
-    block metric <= 0) raise instead.  Every error message starts with the
-    file name; a row error goes on with ``:<line>:``.  Only the format is
-    checked here: a series too short to use is excluded per coin by
-    ``compute_characteristics``.
+    Every date is parsed and checked, but only the last kept row's date is
+    held, for the strictly-increasing check.  Rows whose value field is
+    empty or non-numeric (including NaN/inf tokens) are dropped and counted
+    in ``Series.drop_count``.  Structural problems (wrong field count, bad
+    header, a date not written ``YYYY-MM-DD``, a field the CSV reader
+    refuses), a date not after the last kept row's and a value of the wrong
+    sign (a negative price, a block metric <= 0) raise instead.  Every error
+    message starts with the file name; a row error goes on with
+    ``:<line>:``.  Only the format is checked here: a series too short to
+    use is excluded per coin by ``compute_characteristics``.
     """
     path = Path(path)
-    dates: list[date] = []
+    last: date | None = None
     values: list[float] = []
     dropped = 0
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
@@ -164,9 +154,9 @@ def load_series(path, coin_id: str, metric: Metric) -> Series:
         if not math.isfinite(value):
             dropped += 1
             continue
-        if dates and day <= dates[-1]:
+        if last is not None and day <= last:
             raise CoinclustError(
-                f"{path.name}:{lineno}: dates not strictly increasing ({day} after {dates[-1]})"
+                f"{path.name}:{lineno}: dates not strictly increasing ({day} after {last})"
             )
         if metric is Metric.PRICE and value < 0:
             raise CoinclustError(f"{path.name}:{lineno}: negative price {raw}")
@@ -174,19 +164,9 @@ def load_series(path, coin_id: str, metric: Metric) -> Series:
             raise CoinclustError(
                 f"{path.name}:{lineno}: {metric.value} must be strictly positive, got {raw}"
             )
-        dates.append(day)
+        last = day
         values.append(value)
-    return Series(coin_id=coin_id, metric=metric, dates=dates, values=values, drop_count=dropped)
-
-
-def write_series(series: Series, path) -> None:
-    """Write a series back to its CSV form (round-trips exactly)."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "value"])
-        for day, value in zip(series.dates, series.values):
-            writer.writerow([day.isoformat(), repr(float(value))])
+    return Series(values, drop_count=dropped)
 
 
 # A profile key is a MechanismProfile field; it is required when the field
@@ -311,7 +291,7 @@ def build_dataset(series_dir, profiles_path, metric: Metric) -> Dataset:
         coin_id = path.name[: -len(suffix)]
         if coin_id not in profiles:
             raise CoinclustError(f"{path.name}: no profile for coin {coin_id!r}")
-        series[coin_id] = load_series(path, coin_id, metric)
+        series[coin_id] = load_series(path, metric)
         fingerprints[path.name] = _sha256(path)
     if not series:
         raise NoSeriesLoadedError(f"no {metric.value} series found in {series_dir}")

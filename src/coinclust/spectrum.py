@@ -21,18 +21,10 @@ DEFAULT_BINS = 200
 
 @dataclass
 class PowerSpectrum:
-    """Normalized power on a fixed grid of K frequencies in (0, 0.5]."""
+    """Normalized power at the K frequencies 0.5 * j / K, j = 1..K (implied by K)."""
 
     bins: np.ndarray
-    normalized_frequencies: np.ndarray
     degenerate: bool = False  # zero signal: bins are the uniform fallback
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=float)
-        self.normalized_frequencies = np.asarray(self.normalized_frequencies, dtype=float)
-
-    def __len__(self) -> int:
-        return self.bins.size
 
 
 def bin_names(k: int = DEFAULT_BINS) -> list[str]:
@@ -72,15 +64,15 @@ def resample_spectrum(frequencies, raw_power, k: int = DEFAULT_BINS) -> PowerSpe
         raise CoinclustError("empty raw power")
     if k < 2:
         raise ValueError("need at least 2 bins")
-    grid = 0.5 * np.arange(1, k + 1, dtype=float) / k
     total = power.sum()
     if total <= 0.0:
-        return PowerSpectrum(np.full(k, 1.0 / k), grid, degenerate=True)
+        return PowerSpectrum(np.full(k, 1.0 / k), degenerate=True)
+    grid = 0.5 * np.arange(1, k + 1, dtype=float) / k
     interp = np.interp(grid, freqs, power / total)
     s = interp.sum()
     if s <= 0.0:
-        return PowerSpectrum(np.full(k, 1.0 / k), grid, degenerate=True)
-    return PowerSpectrum(interp / s, grid)
+        return PowerSpectrum(np.full(k, 1.0 / k), degenerate=True)
+    return PowerSpectrum(interp / s)
 
 
 def spectrum_feature(series, k: int = DEFAULT_BINS) -> PowerSpectrum:

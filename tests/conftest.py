@@ -1,20 +1,17 @@
-from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coinclust.ingest import Metric, Series
+from coinclust.ingest import Series
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SNAPSHOT_DIR = REPO_ROOT / "data" / "snapshot"
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
-def make_series(values, coin_id="testcoin", metric=Metric.PRICE, start=date(2019, 1, 1)):
-    values = np.asarray(values, dtype=float)
-    dates = [start + timedelta(days=i) for i in range(len(values))]
-    return Series(coin_id=coin_id, metric=metric, dates=dates, values=values)
+def make_series(values):
+    return Series(values)
 
 
 def random_walk(n, seed, scale=1.0, start=0.0):

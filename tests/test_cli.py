@@ -329,6 +329,20 @@ def test_series_row_error_names_file_and_line(tmp_path, snapshot_dir, capsys, na
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("sigma", [[], ["--sigma", "1.0"]], ids=["median", "given"])
+def test_identical_series_give_the_flagged_halving_whatever_sigma(tmp_path, snapshot_dir, capsys, sigma):
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(snapshot_dir / "profiles.txt", data)
+    coins = sorted(p.name.split(".")[0] for p in snapshot_dir.glob("*.price_usd.csv"))[:8]
+    for coin in coins:
+        shutil.copy(snapshot_dir / "bitcoin.price_usd.csv", data / f"{coin}.price_usd.csv")
+    out = tmp_path / "out"
+    assert run(["cluster", "--data-dir", str(data), "--metric", "price_usd", "--out", str(out), *sigma]) == 0
+    assert capsys.readouterr().out.endswith("k=2 sizes=[4, 4] flags=['degenerate_geometry']\n")
+    clusters = json.loads((out / "clusters.price_usd.json").read_text())["clusters"]
+    assert [c["coins"] for c in clusters] == [coins[:4], coins[4:]]
+
 def test_error_section_lists_coins_excluded_before_the_failure(tmp_path, snapshot_dir):
     data = _cut_snapshot(snapshot_dir, tmp_path / "data", ["bitcoin.block_size_bytes.csv"])
     out = tmp_path / "out"

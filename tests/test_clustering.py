@@ -127,6 +127,18 @@ def test_similarity_degenerate():
         similarity_matrix(np.ones((4, 3)))
 
 
+def test_similarity_degenerate_with_a_given_sigma():
+    with pytest.raises(DegenerateGeometryError, match="^all pairwise distances are zero$"):
+        similarity_matrix(np.ones((4, 3)), sigma=1.0)
+
+
+def test_tiny_sigma_gives_zero_similarity_without_a_warning():
+    # 2 * sigma**2 is subnormal, so -sq / (2 sigma^2) overflows to -inf and
+    # exp gives 0; a RuntimeWarning fails the test (pyproject.toml filterwarnings).
+    s = similarity_matrix(np.array([[0.0], [1.0], [3.0]]), sigma=1e-160)
+    assert np.array_equal(s, np.zeros((3, 3)))
+
+
 # --- spectral embedding ----------------------------------------------------------
 
 def test_embed_block_diagonal_separates():
@@ -252,6 +264,12 @@ def test_select_k_identical_points_flagged():
     assert "degenerate_geometry" in a.flags
 
 
+@pytest.mark.parametrize("sigma", [None, 1.0])
+def test_identical_rows_give_the_flagged_halving_whatever_sigma(sigma):
+    a = select_k_and_cluster(fm(np.ones((8, 3))), k_max=3, seed=1, sigma=sigma)
+    assert (a.k, a.labels, a.flags) == (2, [0] * 4 + [1] * 4, ("degenerate_geometry",))
+
+
 def test_duplicate_rows_take_the_bandwidth_from_the_non_zero_distances():
     # The median pairwise distance is 0 (15 of 28 pairs are duplicates), so
     # sigma is the median of the 12 non-zero distances, all sqrt(50).
@@ -356,9 +374,9 @@ def test_assignment_serialization_shape():
 def test_short_series_excluded_with_reason():
     # 150 days pass ingest and the fluctuation analysis but not the 200-day
     # divergence-rate floor.
-    series = {f"long{i}": make_series(random_walk(400, seed=i, start=100.0), coin_id=f"long{i}")
+    series = {f"long{i}": make_series(random_walk(400, seed=i, start=100.0))
               for i in range(4)}
-    series["short"] = make_series(random_walk(150, seed=9, start=100.0), coin_id="short")
+    series["short"] = make_series(random_walk(150, seed=9, start=100.0))
     matrix = assemble_features(Dataset(metric=Metric.PRICE, series=series, profiles={}),
                                RunConfig(spectrum_bins=16))
     assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]
@@ -370,9 +388,9 @@ def test_short_series_excluded_with_reason():
 def test_dfa_window_grid_too_small_excludes_the_coin_with_the_reason():
     # At dfa_max_window_frac 0.01 a 450-day series leaves one window size
     # (4 = int(4.5)); 600 days leave three.
-    series = {f"long{i}": make_series(random_walk(600, seed=i, start=100.0), coin_id=f"long{i}")
+    series = {f"long{i}": make_series(random_walk(600, seed=i, start=100.0))
               for i in range(4)}
-    series["short"] = make_series(random_walk(450, seed=9, start=100.0), coin_id="short")
+    series["short"] = make_series(random_walk(450, seed=9, start=100.0))
     config = RunConfig(spectrum_bins=16, dfa_max_window_frac=0.01)
     matrix = assemble_features(Dataset(metric=Metric.PRICE, series=series, profiles={}), config)
     assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]
@@ -387,10 +405,10 @@ def test_dfa_window_grid_too_small_excludes_the_coin_with_the_reason():
 def test_dfa_windows_that_do_not_fit_twice_exclude_coins_under_one_reason():
     # Window sizes from 600 up to n: 2,000 days fit several of them twice,
     # 700 and 1,000 days none.
-    series = {f"long{i}": make_series(random_walk(2_000, seed=i, start=100.0), coin_id=f"long{i}")
+    series = {f"long{i}": make_series(random_walk(2_000, seed=i, start=100.0))
               for i in range(4)}
     for n in (700, 1_000):
-        series[f"short{n}"] = make_series(random_walk(n, seed=n, start=100.0), coin_id=f"short{n}")
+        series[f"short{n}"] = make_series(random_walk(n, seed=n, start=100.0))
     config = RunConfig(spectrum_bins=16, dfa_min_window=600, dfa_max_window_frac=1.0)
     matrix = assemble_features(Dataset(metric=Metric.PRICE, series=series, profiles={}), config)
     assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]

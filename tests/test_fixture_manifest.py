@@ -28,9 +28,7 @@ def manifest():
 
 def test_characteristics_match_manifest(manifest, snapshot_dir):
     entry = manifest["characteristics"]
-    series = load_series(
-        snapshot_dir / f"{entry['coin']}.{entry['metric']}.csv", entry["coin"], Metric(entry["metric"])
-    )
+    series = load_series(snapshot_dir / f"{entry['coin']}.{entry['metric']}.csv", Metric(entry["metric"]))
     assert len(series) == entry["n"]
     vec = compute_characteristics(series)
     for key in ("mean", "standard_deviation", "skewness", "kurtosis"):
@@ -43,9 +41,7 @@ def test_characteristics_match_manifest(manifest, snapshot_dir):
 
 def test_spectrum_matches_manifest(manifest, snapshot_dir):
     entry = manifest["spectrum"]
-    series = load_series(
-        snapshot_dir / f"{entry['coin']}.{entry['metric']}.csv", entry["coin"], Metric(entry["metric"])
-    )
+    series = load_series(snapshot_dir / f"{entry['coin']}.{entry['metric']}.csv", Metric(entry["metric"]))
     spec = spectrum_feature(series, k=len(entry["bins"]))
     assert np.allclose(spec.bins, np.asarray(entry["bins"]), rtol=1e-8, atol=1e-12)
 

@@ -1,5 +1,5 @@
 import re
-from datetime import date
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +14,9 @@ from coinclust.ingest import (
     load_profiles,
     load_series,
     source_url,
-    write_series,
 )
 
 from coinclust.cli import main
-
-from conftest import make_series
 
 
 def write_csv(path, rows, header="date,value"):
@@ -44,9 +41,8 @@ governance: public
 def test_load_series_identity(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, [f"2019-01-0{i},{float(i)}" for i in range(1, 5)])
-    s = load_series(p, "x", Metric.PRICE)
+    s = load_series(p, Metric.PRICE)
     assert len(s) == 4
-    assert s.dates[0] == date(2019, 1, 1)
     assert list(s.values) == [1.0, 2.0, 3.0, 4.0]
     assert s.drop_count == 0
 
@@ -59,7 +55,7 @@ def test_load_series_drops_empty_values(tmp_path):
     # reorder so dates stay monotone: put the empty-value row at the end
     rows = rows[:50] + rows[51:] + ["2020-06-01,"]
     write_csv(p, rows)
-    s = load_series(p, "x", Metric.PRICE)
+    s = load_series(p, Metric.PRICE)
     assert len(s) == 100
     assert s.drop_count == 1
 
@@ -68,7 +64,7 @@ def test_load_series_structural_error(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-01,1.0,extra"])
     with pytest.raises(CoinclustError, match=r"^x\.csv:2: expected 2 fields, got 3$"):
-        load_series(p, "x", Metric.PRICE)
+        load_series(p, Metric.PRICE)
 
 
 def test_load_series_bad_date(tmp_path):
@@ -77,7 +73,7 @@ def test_load_series_bad_date(tmp_path):
     for text in ("01/02/2019", "20190101", "2019-W01-1"):
         write_csv(p, ["2018-12-30,1.0", f"{text},1.0"])
         with pytest.raises(CoinclustError, match=f"^x.csv:3: bad date '{text}'$"):
-            load_series(p, "x", Metric.PRICE)
+            load_series(p, Metric.PRICE)
 
 
 def test_load_series_nonpositive_block_metric(tmp_path):
@@ -85,13 +81,13 @@ def test_load_series_nonpositive_block_metric(tmp_path):
     write_csv(p, ["2019-01-01,5.0", "2019-01-02,0.0", "2019-01-03,2.0"])
     with pytest.raises(CoinclustError,
                        match=r"^x\.csv:3: block_time_minutes must be strictly positive, got 0\.0$"):
-        load_series(p, "x", Metric.BLOCK_TIME)
+        load_series(p, Metric.BLOCK_TIME)
 
 
 def test_load_series_zero_price_allowed(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-01,0.0", "2019-01-02,1.0"])
-    s = load_series(p, "x", Metric.PRICE)
+    s = load_series(p, Metric.PRICE)
     assert s.values[0] == 0.0
 
 
@@ -100,13 +96,13 @@ def test_load_series_non_monotone(tmp_path):
     write_csv(p, ["2019-01-02,1.0", "2019-01-01,2.0"])
     with pytest.raises(CoinclustError,
                        match=r"^x\.csv:3: dates not strictly increasing \(2019-01-01 after 2019-01-02\)$"):
-        load_series(p, "x", Metric.PRICE)
+        load_series(p, Metric.PRICE)
 
 
 def test_load_series_nan_token_dropped(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-01,1.0", "2019-01-02,nan", "2019-01-03,inf", "2019-01-04,2.0"])
-    s = load_series(p, "x", Metric.PRICE)
+    s = load_series(p, Metric.PRICE)
     assert len(s) == 2 and s.drop_count == 2
 
 
@@ -128,22 +124,14 @@ def test_load_series_row_error_names_file_and_line(tmp_path, metric, rows, messa
     p = tmp_path / "x.csv"
     write_csv(p, rows)
     with pytest.raises(CoinclustError, match=f"^{re.escape(message)}$"):
-        load_series(p, "x", metric)
-
-
-def test_round_trip(tmp_path):
-    original = make_series(np.array([0.1, 2.5, 3.75, 1e-7, 123456.789]) + 0.1)
-    p = tmp_path / "rt.csv"
-    write_series(original, p)
-    reloaded = load_series(p, original.coin_id, original.metric)
-    assert reloaded == original
+        load_series(p, metric)
 
 
 def test_drop_count_conservation(tmp_path):
     rows = [f"2019-01-{i:02d},{i}.5" for i in range(1, 28)] + ["2019-02-01,oops", "2019-02-02,"]
     p = tmp_path / "x.csv"
     write_csv(p, rows)
-    s = load_series(p, "x", Metric.PRICE)
+    s = load_series(p, Metric.PRICE)
     assert len(s) + s.drop_count == len(rows)
 
 
@@ -239,6 +227,18 @@ def test_build_dataset_complete(tmp_path):
     assert all(c in ds.profiles for c in ds.series)
 
 
+def test_snapshot_datasets_hold_little_beyond_their_values(snapshot_dir):
+    # The float values of the three metrics take 0.87 MB; a date object per
+    # row would add about 4.4 MB.
+    tracemalloc.start()
+    try:
+        datasets = [build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", m) for m in Metric]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(s) for d in datasets for s in d.series.values()) > 100_000
+    assert held < 2 * 10**6
+
 def test_build_dataset_missing_report(tmp_path):
     coins = [f"coin{i:02d}" for i in range(18)]
     _write_snapshot(tmp_path, coins[:16], metric=Metric.BLOCK_SIZE)
@@ -307,7 +307,7 @@ def test_oversized_csv_field_is_malformed_csv(tmp_path, capsys):
     path.write_text(path.read_text(encoding="utf-8") + "2019-03-01," + "1" * 200_000 + "\n",
                     encoding="utf-8")
     with pytest.raises(CoinclustError, match=r"^huge\.price_usd\.csv:\d+: field larger"):
-        load_series(path, "huge", Metric.PRICE)
+        load_series(path, Metric.PRICE)
     assert main(["features", "--data-dir", str(tmp_path), "--metric", "price_usd",
                  "--out", str(tmp_path / "out")]) == 1
     assert "huge.price_usd.csv" in capsys.readouterr().err

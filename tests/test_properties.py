@@ -104,7 +104,7 @@ def test_load_series_gives_a_series_or_a_coinclust_error(data):
         path = Path(tmp) / "x.price_usd.csv"
         path.write_bytes(data)
         try:
-            series = load_series(path, "x", Metric.PRICE)
+            series = load_series(path, Metric.PRICE)
         except CoinclustError as exc:
             assert str(exc).startswith("x.price_usd.csv")
         else:
@@ -149,7 +149,7 @@ def _sweep_datasets() -> dict[str, Dataset]:
         values["steps"] = np.round(10.0 + np.abs(np.cumsum(rng.standard_normal(320))))
         if metric is not Metric.BLOCK_SIZE:
             values["absent"] = 3.0 + rng.random(210)
-        series = {coin: make_series(v, coin_id=coin, metric=metric) for coin, v in values.items()}
+        series = {coin: make_series(v) for coin, v in values.items()}
         missing = sorted(set(coins) - set(series))
         datasets[metric.value] = Dataset(metric=metric, series=series, profiles=profiles, missing=missing)
     return datasets

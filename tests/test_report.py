@@ -171,7 +171,7 @@ def synthetic_dataset(metric, coins_groups, seed0=0, n=300):
         for coin in coins:
             base = 10.0 ** g
             walk = np.abs(random_walk(n, seed=seed, scale=0.1 * base, start=5 * base)) + base
-            series[coin] = make_series(walk, coin_id=coin, metric=metric)
+            series[coin] = make_series(walk)
             profiles[coin] = profile(coin, hashing=f"H{g}")
             seed += 1
     return Dataset(metric=metric, series=series, profiles=profiles)

@@ -97,7 +97,8 @@ def test_cosine_dominant_bin_after_resampling():
     x = np.cos(2 * np.pi * np.arange(n) / 8.0)
     spec = spectrum_feature(make_series(x + 2.0), k=200)
     peak = int(np.argmax(spec.bins))
-    assert spec.normalized_frequencies[peak] == pytest.approx(1 / 8, abs=0.5 / 200)
+    # bin j (from 0) sits at the grid frequency 0.5 * (j + 1) / K
+    assert 0.5 * (peak + 1) / spec.bins.size == pytest.approx(1 / 8, abs=0.5 / 200)
     assert spec.bins[peak] > 0.5
 
 
