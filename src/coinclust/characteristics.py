@@ -318,6 +318,42 @@ def nearest_outside_window(points: np.ndarray, theiler: int, tol2: float) -> np.
     return neighbors
 
 
+def divergence_curve(x: np.ndarray, idx: np.ndarray, nbr: np.ndarray, steps: int, m: int, tau: int) -> np.ndarray:
+    """Mean log distance of the pairs (idx, nbr) at steps 0..``steps``.
+
+    The delay vector of ``x`` at i is x[i], x[i + tau], ..., x[i + (m-1) tau].
+    At step k a pair's distance is the Euclidean distance between the
+    vectors at idx + k and nbr + k, and the step's value is the mean log of
+    the positive distances, NaN when there are none.  Each squared
+    coordinate difference is computed once, as e[t, r] = (x[idx_r + t] -
+    x[nbr_r + t])**2, and a step sums e[k], e[k + tau], ... in the order
+    ``np.linalg.norm(axis=1)`` sums the m coordinates of a row: left to
+    right below eight, by numpy's own reduction from eight on.  Each step's
+    mean runs over one contiguous row, so every value equals the step-by-step
+    ``norm``/``log``/``mean`` computation bit for bit.
+    """
+    at = idx + np.arange(steps + 1 + (m - 1) * tau)[:, None]
+    e = x[at]
+    at += nbr - idx
+    e -= x[at]
+    e *= e
+    terms = [e[c * tau : c * tau + steps + 1] for c in range(m)]
+    if m < 8:
+        s = terms[0] if m == 1 else terms[0] + terms[1]
+        for term in terms[2:]:
+            s += term
+    else:
+        s = np.add.reduce(np.stack(terms, axis=-1), axis=-1)
+    np.sqrt(s, out=s)
+    positive = s > 0.0
+    np.log(s, out=s, where=positive)
+    log_div = np.mean(s, axis=1)
+    for k in np.flatnonzero(~positive.all(axis=1)):
+        logs = s[k, positive[k]]
+        log_div[k] = np.mean(logs) if logs.size else np.nan
+    return log_div
+
+
 def chaos_lyapunov(values, config: RunConfig | None = None) -> float:
     """Largest divergence-rate exponent, Rosenstein-style, per day.
 
@@ -364,13 +400,7 @@ def chaos_lyapunov(values, config: RunConfig | None = None) -> float:
     valid = neighbors >= 0
     if not np.any(valid):
         raise CoinclustError("chaos: no positive-distance neighbor outside the temporal window")
-    idx, nbr = np.flatnonzero(valid), neighbors[valid]
-
-    log_div = np.empty(steps + 1)
-    for k in range(steps + 1):
-        d = np.linalg.norm(orbit[idx + k] - orbit[nbr + k], axis=1)
-        d = d[d > 0.0]
-        log_div[k] = np.mean(np.log(d)) if d.size else np.nan
+    log_div = divergence_curve(x, np.flatnonzero(valid), neighbors[valid], steps, m, tau)
     ks = np.arange(steps + 1)
     keep = np.isfinite(log_div)
     ks, log_div = ks[keep], log_div[keep]

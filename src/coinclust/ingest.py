@@ -107,66 +107,150 @@ def read_utf8(path: Path, error: type[CoinclustError] = CoinclustError) -> str:
 def load_series(path, metric: Metric) -> Series:
     """Load and validate one series CSV; the result keeps only the values.
 
+    The text is read once and takes one of two routes with the same
+    result.  A plain file (``_plain_values``: exactly the header
+    ``date,value``, one ``YYYY-MM-DD,<value>`` row per LF-ended line, no
+    quotes, nothing to drop and nothing to reject) is parsed as arrays.
+    Every other file goes through the CSV reader row by row, which alone
+    defines the drops and the messages below.
+
     Every date is parsed and checked, but only the last kept row's date is
     held, for the strictly-increasing check.  Rows whose value field is
     empty or non-numeric (including NaN/inf tokens) are dropped and counted
     in ``Series.drop_count``.  Structural problems (wrong field count, bad
     header, a date not written ``YYYY-MM-DD``, a field the CSV reader
     refuses), a date not after the last kept row's and a value of the wrong
-    sign (a negative price, a block metric <= 0) raise instead.  Every error
-    message starts with the file name; a row error goes on with
-    ``:<line>:``.  Only the format is checked here: a series too short to
-    use is excluded per coin by ``compute_characteristics``.
+    sign (a negative price, a block metric <= 0) raise instead.  A field
+    the CSV reader refuses anywhere in the file is reported before any row
+    error.  Every error message starts with the file name; a row error goes
+    on with ``:<line>:``.  Only the format is checked here: a series too
+    short to use is excluded per coin by ``compute_characteristics``.
     """
     path = Path(path)
+    text = read_utf8(path)
+    values = _plain_values(text, metric)
+    return _row_series(path, text, metric) if values is None else Series(values)
+
+
+def _row_series(path: Path, text: str, metric: Metric) -> Series:
+    """The row loop of ``load_series``: the route of every file that is not
+    plain, and the one definition of its drops and messages."""
     last: date | None = None
     values: list[float] = []
     dropped = 0
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = enumerate(reader, start=1)
     try:
-        rows = list(reader)
+        try:
+            header = next(rows, (1, None))[1]
+            if header is None:
+                raise CoinclustError(f"{path.name}: empty file")
+            if [h.strip().lower() for h in header] != ["date", "value"]:
+                raise CoinclustError(f"{path.name}: expected header 'date,value', got {header!r}")
+            for lineno, row in rows:
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise CoinclustError(f"{path.name}:{lineno}: expected 2 fields, got {len(row)}")
+                stamp = row[0].strip()
+                try:
+                    # YYYY-MM-DD only: fromisoformat also takes 20190101 and 2019-W01-1 from Python 3.11
+                    if len(stamp) != 10 or stamp[4] != "-" or stamp[7] != "-":
+                        raise ValueError
+                    day = date.fromisoformat(stamp)
+                except ValueError:
+                    raise CoinclustError(f"{path.name}:{lineno}: bad date {row[0]!r}") from None
+                raw = row[1].strip()
+                try:
+                    value = float(raw)
+                except ValueError:
+                    dropped += 1
+                    continue
+                if not math.isfinite(value):
+                    dropped += 1
+                    continue
+                if last is not None and day <= last:
+                    raise CoinclustError(
+                        f"{path.name}:{lineno}: dates not strictly increasing ({day} after {last})"
+                    )
+                if metric is Metric.PRICE and value < 0:
+                    raise CoinclustError(f"{path.name}:{lineno}: negative price {raw}")
+                if metric is not Metric.PRICE and value <= 0:
+                    raise CoinclustError(
+                        f"{path.name}:{lineno}: {metric.value} must be strictly positive, got {raw}"
+                    )
+                last = day
+                values.append(value)
+            return Series(values, drop_count=dropped)
+        except CoinclustError:
+            for _ in rows:  # a field the reader refuses further on is reported instead
+                pass
+            raise
     except csv.Error as exc:
         raise CoinclustError(f"{path.name}:{reader.line_num}: {exc}") from None
-    if not rows:
-        raise CoinclustError(f"{path.name}: empty file")
-    header = rows[0]
-    if [h.strip().lower() for h in header] != ["date", "value"]:
-        raise CoinclustError(f"{path.name}: expected header 'date,value', got {header!r}")
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise CoinclustError(f"{path.name}:{lineno}: expected 2 fields, got {len(row)}")
-        text = row[0].strip()
-        try:
-            # YYYY-MM-DD only: fromisoformat also takes 20190101 and 2019-W01-1 from Python 3.11
-            if len(text) != 10 or text[4] != "-" or text[7] != "-":
-                raise ValueError
-            day = date.fromisoformat(text)
-        except ValueError:
-            raise CoinclustError(f"{path.name}:{lineno}: bad date {row[0]!r}") from None
-        raw = row[1].strip()
-        try:
-            value = float(raw)
-        except ValueError:
-            dropped += 1
-            continue
-        if not math.isfinite(value):
-            dropped += 1
-            continue
-        if last is not None and day <= last:
-            raise CoinclustError(
-                f"{path.name}:{lineno}: dates not strictly increasing ({day} after {last})"
-            )
-        if metric is Metric.PRICE and value < 0:
-            raise CoinclustError(f"{path.name}:{lineno}: negative price {raw}")
-        if metric is not Metric.PRICE and value <= 0:
-            raise CoinclustError(
-                f"{path.name}:{lineno}: {metric.value} must be strictly positive, got {raw}"
-            )
-        last = day
-        values.append(value)
-    return Series(values, drop_count=dropped)
+
+
+_PLAIN_HEADER = "date,value\n"
+_COLUMNS = np.arange(11)[:, None]
+# Byte bounds of the first 11 columns of a plain row
+_LOW = np.frombuffer(b"0000-00-00,", dtype=np.uint8)[:, None]
+_HIGH = np.frombuffer(b"9999-19-39,", dtype=np.uint8)[:, None]
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0, 0, 0, 0, 0, 0, 0])  # months 0-19
+
+
+def _plain_values(text: str, metric: Metric) -> np.ndarray | None:
+    """The values of a plain series file, or None for any other file.
+
+    A plain file is ASCII with no ``"`` and no CR: the header line is
+    exactly ``date,value``, no line is blank, and every other line is
+    ``YYYY-MM-DD,<value>`` with its only comma in column 11 and at most
+    ``csv.field_size_limit()`` characters.  Its dates are real calendar
+    dates with year >= 1 that strictly increase, and its values (parsed by
+    ``float``, as the row loop parses them) are finite with the metric's
+    sign.  On such a file the CSV reader sees two fields per line and the
+    row loop keeps every row, so both routes give the same values; any
+    other file, including every one that drops a row or raises, returns
+    None and goes through the row loop.
+    """
+    if not text.startswith(_PLAIN_HEADER) or not text.isascii():
+        return None
+    if '"' in text or "\r" in text:
+        return None
+    # From the header's newline on, with a final one, so each row lies between two.
+    body = text[len(_PLAIN_HEADER) - 1 :]
+    if not body.endswith("\n"):
+        body += "\n"
+    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    starts = newlines[:-1] + 1
+    if starts.size == 0:
+        return np.empty(0)
+    lengths = newlines[1:] - starts  # a blank line has length 0
+    if lengths.min() < 11 or lengths.max() > csv.field_size_limit():
+        return None
+    if np.count_nonzero(buf == ord(",")) != starts.size:
+        return None
+    head = buf[starts + _COLUMNS]  # head[j]: column j + 1 of every row
+    if ((head < _LOW) | (head > _HIGH)).any():
+        return None
+    d = head.astype(np.intp) - ord("0")
+    year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3]
+    month = d[5] * 10 + d[6]
+    day = d[8] * 10 + d[9]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if ((year < 1) | (day < 1) | (day > _MONTH_DAYS[month] + (leap & (month == 2)))).any():
+        return None
+    key = (year * 12 + month) * 31 + day
+    if (key[1:] <= key[:-1]).any():
+        return None
+    try:
+        values = np.fromiter(map(float, body.replace("\n", ",").split(",")[2::2]), float, starts.size)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    signed = values >= 0 if metric is Metric.PRICE else values > 0
+    return values if signed.all() else None
 
 
 # A profile key is a MechanismProfile field; it is required when the field

@@ -197,6 +197,21 @@ def lyapunov_naive(values, emb_dim=3, delay=1, steps=None, theiler=None):
     return float(slope)
 
 
+def divergence_curve_step_loop(x, idx, nbr, steps, m, tau):
+    """The divergence curve one step at a time: at each step, the pairs'
+    delay-vector distances by ``np.linalg.norm``, then the mean log of the
+    positive ones (NaN when none is).  This is the per-step loop the
+    library's one-gather curve must equal bit for bit."""
+    n_points = x.size - (m - 1) * tau
+    orbit = np.column_stack([x[i * tau : i * tau + n_points] for i in range(m)])
+    log_div = np.empty(steps + 1)
+    for k in range(steps + 1):
+        d = np.linalg.norm(orbit[idx + k] - orbit[nbr + k], axis=1)
+        d = d[d > 0.0]
+        log_div[k] = np.mean(np.log(d)) if d.size else np.nan
+    return log_div
+
+
 def nearest_outside_window_naive(points, theiler, tol2):
     """Nearest neighbour of each point more than `theiler` rows away.
 

@@ -13,6 +13,7 @@ from coinclust.characteristics import (
     autocorrelation_lag1,
     chaos_lyapunov,
     compute_characteristics,
+    divergence_curve,
     moments,
     nearest_outside_window,
     ols_line,
@@ -28,6 +29,7 @@ from oracles import (
     acf1_direct,
     dfa_naive,
     dfa_reference_loop,
+    divergence_curve_step_loop,
     lyapunov_naive,
     moments_direct,
     nearest_outside_window_naive,
@@ -327,6 +329,43 @@ def test_neighbor_search_row_with_no_candidate_is_settled_without_a_warning():
 def test_lyapunov_tied_series_match_oracle(case):
     x = NEIGHBOR_CASES[case]()
     assert chaos_lyapunov(x) == pytest.approx(lyapunov_naive(x), rel=1e-8)
+
+
+def _curve_pairs(x, m, tau, steps):
+    """The delay vectors and their pairs as chaos_lyapunov forms them, with a fixed 10-row window."""
+    n_points = x.size - (m - 1) * tau
+    orbit = np.column_stack([x[c * tau : c * tau + n_points] for c in range(m)])
+    tol2 = (1e-9 * float(np.std(x))) ** 2
+    neighbors = nearest_outside_window(orbit[: n_points - steps], 10, tol2)
+    idx = np.flatnonzero(neighbors >= 0)
+    return orbit, idx, neighbors[idx]
+
+
+@pytest.mark.parametrize("case, m, tau", [
+    ("random_walk", 3, 1),
+    ("period_20_sine", 3, 1),
+    ("stablecoin", 3, 1),  # pairs that meet again: zero distances at later steps
+    ("random_walk", 4, 2),
+    ("stablecoin", 1, 1),
+    ("random_walk", 8, 1),  # from eight coordinates numpy sums a row pairwise
+    ("stablecoin", 12, 2),
+])
+def test_divergence_curve_equals_the_step_loop_bit_for_bit(case, m, tau):
+    x = NEIGHBOR_CASES[case]()
+    orbit, idx, nbr = _curve_pairs(x, m, tau, 20)
+    got = divergence_curve(x, idx, nbr, 20, m, tau)
+    assert got.tobytes() == divergence_curve_step_loop(x, idx, nbr, 20, m, tau).tobytes()
+    if case == "stablecoin":
+        assert any(np.all(orbit[idx + k] == orbit[nbr + k], axis=1).any() for k in range(21))
+
+
+def test_divergence_curve_step_with_only_zero_distances_is_nan():
+    x = np.r_[0.0, 3.0, np.ones(30)]
+    # (0, 1) is 3 apart, then 2, then 0 for good; (4, 20) is 0 apart throughout
+    idx, nbr = np.array([0, 4]), np.array([1, 20])
+    got = divergence_curve(x, idx, nbr, 10, 1, 1)
+    assert got.tobytes() == divergence_curve_step_loop(x, idx, nbr, 10, 1, 1).tobytes()
+    assert got[0] == np.log(3.0) and got[1] == np.log(2.0) and np.isnan(got[2:]).all()
 
 
 def test_chaos_after_cli_import_leaves_scipy_unloaded():

@@ -1,11 +1,15 @@
 """Property tests: library routes against the naive oracles, and loaders on drawn inputs."""
 
+import csv
+import importlib.util
 import json
 import math
 import tempfile
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from coinclust.characteristics import compute_characteristics, nearest_outside_window, self_similarity_dfa
@@ -13,12 +17,12 @@ from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
 from coinclust.ingest import (
     _PROFILE_KEYS, BlockSizeLimitKind, Consensus, Dataset, Governance, MechanismProfile, Metric,
-    load_profiles, load_series,
+    _plain_values, _row_series, load_profiles, load_series, read_utf8,
 )
 from coinclust.report import report_run
 from coinclust.spectrum import spectrum_feature
 
-from conftest import make_series
+from conftest import REPO_ROOT, SNAPSHOT_DIR, make_series
 from oracles import dfa_reference_loop, nearest_outside_window_naive
 
 
@@ -109,6 +113,75 @@ def test_load_series_gives_a_series_or_a_coinclust_error(data):
             assert str(exc).startswith("x.price_usd.csv")
         else:
             assert len(series) == series.values.size and np.all(np.isfinite(series.values))
+
+
+# Near-plain series texts: each token is usually one that keeps a file plain
+# and now and then one of the ways a file stops being plain.
+_ODD_HEADERS = [" Date , VALUE ", "\ufeffdate,value", "date,value,", "Date,Value"]
+# Well formed but not a date; sorted with the real dates, each lands in order.
+_NOT_DATES = ["0000-12-31", "1900-02-29", "2100-02-29", "2019-04-31", "2019-13-01", "2019-21-01",
+              "2019-00-10", "2019-06-00"]
+_BAD_FORMS = ["2019-1-01", "20190101", "\u0662019-01-01", " 2019-06-01", '"2019-06-02"', "2019-06-0x"]
+_LONG_VALUE = "0." + "0" * csv.field_size_limit() + "1"  # finite, but over the field limit
+_ODD_VALUES = ["0", "-0", "-3", "nan", "-inf", "inf", "1e999", "", " ", " 2 ", "\t4", "1_0", "\u0663",
+               "x", '"7"', "1,2", "1\r5", "\r1", _LONG_VALUE]
+_ODD_NEWLINES = ["\r\n", "\r"]
+
+
+@st.composite
+def _series_texts(draw):
+    def pick(usual, odd):
+        return draw(st.sampled_from(odd)) if draw(st.integers(0, 9)) == 0 else usual
+
+    days = draw(st.lists(st.integers(0, 3000), max_size=8, unique=True))  # from 2000-01-01, leap days too
+    stamps = sorted(pick((date(2000, 1, 1) + timedelta(days=k)).isoformat(), _NOT_DATES) for k in days)
+    if len(stamps) > 1 and draw(st.integers(0, 9)) == 0:  # an equal or a falling date
+        i = draw(st.integers(1, len(stamps) - 1))
+        stamps[i - 1 : i + 1] = draw(st.sampled_from([[stamps[i - 1]] * 2, [stamps[i], stamps[i - 1]]]))
+    lines = [pick("date,value", _ODD_HEADERS)]
+    for stamp in stamps:
+        value = pick(draw(st.sampled_from(["1.5", "2", "0.25", "1e3", "7"])), _ODD_VALUES)
+        lines.append(f"{pick(stamp, _BAD_FORMS)},{value}")
+        lines += [""] * (draw(st.integers(0, 20)) == 0)
+    newline = pick("\n", _ODD_NEWLINES)
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(text=_series_texts(), metric=st.sampled_from(list(Metric)))
+@example(text="date,value\n2019-01-01,1.5\n2019-01-02, 2 \n2020-02-29,1_0", metric=Metric.BLOCK_SIZE)
+@example(text="date,value\n", metric=Metric.PRICE)
+@example(text="date,value\n2019-01-01,\r1\n", metric=Metric.PRICE)  # the reader ends the row at the CR
+@example(text=f"date,value\n2019-01-01,{_LONG_VALUE}\n", metric=Metric.PRICE)
+def test_array_route_gives_the_row_loops_values_or_none(text, metric):
+    plain = _plain_values(text, metric)
+    if plain is not None:
+        series = _row_series(Path("x.csv"), text, metric)
+        assert series.drop_count == 0 and series.values.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("stamp", _NOT_DATES)
+def test_a_well_formed_stamp_that_is_not_a_date_is_not_plain(stamp):
+    text = f"date,value\n{stamp},1.5\n"
+    assert _plain_values(text, Metric.PRICE) is None
+    with pytest.raises(CoinclustError, match=r"^x\.csv:2: bad date"):
+        _row_series(Path("x.csv"), text, Metric.PRICE)
+
+
+def test_every_shipped_and_benchmark_series_file_takes_the_array_route():
+    texts = {path.name: read_utf8(path) for path in SNAPSHOT_DIR.glob("*.csv")}
+    script = REPO_ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", script)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    gen = workloads.load_generator(REPO_ROOT)
+    for workload in ("wide", "deep"):
+        files, _ = workloads.synthesize(gen, workload, 301)
+        texts.update({f"{workload}/{name}": data.decode() for name, data in files.items()
+                      if name.endswith(".csv")})
+    assert len(texts) == 51 + 600 + 30
+    for name, text in texts.items():
+        assert _plain_values(text, Metric(name.split(".")[1])) is not None, name
 
 
 @settings(deadline=None, max_examples=150)
