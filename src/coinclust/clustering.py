@@ -140,23 +140,40 @@ def similarity_matrix(rows: np.ndarray, sigma: float | None = None) -> np.ndarra
     which duplicate rows do not pull to zero; only rows that are all
     identical raise ``DegenerateGeometryError``, whether or not sigma is
     given.  The diagonal is zero by the usual graph convention.  Squared
-    distances are direct differences, one row at a time, so memory stays
-    O(m^2 + m*D) and the matrix is exactly symmetric.
+    distances are direct differences, row i against rows j >= i, so memory
+    stays O(m^2 + m*D); the lower triangle is the mirror, (a - b)**2 being
+    (b - a)**2 exactly.  Each difference array takes the memory order of
+    ``rows``, which sets the order its rows are summed in.
     """
     x = np.asarray(rows, dtype=float)
     m = x.shape[0]
-    sq = np.array([((x - row) ** 2).sum(axis=1) for row in x])
+    sq = np.empty((m, m))
+    for i in range(m):
+        sq[i, i:] = ((x[i:] - x[i]) ** 2).sum(axis=1)
+    lower = np.tril_indices(m, k=-1)
+    sq[lower] = sq.T[lower]
     if not sq.any():
         raise DegenerateGeometryError("all pairwise distances are zero")
     if sigma is None:
         dists = np.sqrt(sq[np.triu_indices(m, k=1)])
-        sigma = float(np.median(dists[dists > 0.0]))
+        sigma = _median(dists[dists > 0.0])
     # A sigma near its lower bound overflows the exponent to -inf, and
     # exp(-inf) = 0 is the right limit.
     with np.errstate(over="ignore"):
         s = np.exp(-sq / (2.0 * sigma * sigma))
     np.fill_diagonal(s, 0.0)
     return s
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array, value for value: the middle
+    order statistic, or (a + b) / 2 of the two middle ones.  Unlike
+    ``np.median`` it never imports ``numpy.ma``."""
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    low, high = np.partition(values, (half - 1, half))[half - 1 : half + 1]
+    return float((low + high) / 2)
 
 
 def laplacian_eigendecomposition(similarity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,19 +234,24 @@ def _kmeans_single(points: np.ndarray, k: int, rng: np.random.Generator):
     for _ in range(KMEANS_MAX_ITER):
         dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(dist, axis=1)
-        for c in range(k):
-            if not np.any(new_labels == c):
-                # repair: hand the empty cluster the point farthest from its centroid
-                owned = dist[np.arange(m), new_labels]
-                counts = np.bincount(new_labels, minlength=k)
-                owned[counts[new_labels] < 2] = -np.inf
-                far = int(np.argmax(owned))
-                new_labels[far] = c
+        counts = np.bincount(new_labels, minlength=k)
+        if not counts.all():
+            for c in range(k):
+                if not np.any(new_labels == c):
+                    # repair: hand the empty cluster the point farthest from its centroid
+                    owned = dist[np.arange(m), new_labels]
+                    counts = np.bincount(new_labels, minlength=k)
+                    owned[counts[new_labels] < 2] = -np.inf
+                    far = int(np.argmax(owned))
+                    new_labels[far] = c
+            counts = np.bincount(new_labels, minlength=k)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
+        # each centre sums its members in index order, as mean(axis=0) does
+        centers[:] = 0.0
+        np.add.at(centers, labels, points)
+        centers /= counts[:, None]
     dist = ((points - centers[labels]) ** 2).sum(axis=1)
     return labels, float(dist.sum())
 

@@ -98,8 +98,13 @@ class Dataset:
 
 def read_utf8(path: Path, error: type[CoinclustError] = CoinclustError) -> str:
     """The file's text; bytes that are not UTF-8 raise ``error`` naming the file."""
+    return decode_utf8(path, path.read_bytes(), error)
+
+
+def decode_utf8(path: Path, data: bytes, error: type[CoinclustError] = CoinclustError) -> str:
+    """``data``, the bytes of ``path``, as text, as ``read_utf8`` gives it."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -107,10 +112,11 @@ def read_utf8(path: Path, error: type[CoinclustError] = CoinclustError) -> str:
 def load_series(path, metric: Metric) -> Series:
     """Load and validate one series CSV; the result keeps only the values.
 
-    The text is read once and takes one of two routes with the same
-    result.  A plain file (``_plain_values``: exactly the header
-    ``date,value``, one ``YYYY-MM-DD,<value>`` row per LF-ended line, no
-    quotes, nothing to drop and nothing to reject) is parsed as arrays.
+    The file is read once (``parse_series`` takes bytes already read) and
+    its text takes one of two routes with the same result.  A plain file
+    (``_plain_values``: exactly the header ``date,value``, one
+    ``YYYY-MM-DD,<value>`` row per LF-ended line, no quotes, nothing to
+    drop and nothing to reject) is parsed as arrays.
     Every other file goes through the CSV reader row by row, which alone
     defines the drops and the messages below.
 
@@ -127,7 +133,12 @@ def load_series(path, metric: Metric) -> Series:
     short to use is excluded per coin by ``compute_characteristics``.
     """
     path = Path(path)
-    text = read_utf8(path)
+    return parse_series(path, path.read_bytes(), metric)
+
+
+def parse_series(path: Path, data: bytes, metric: Metric) -> Series:
+    """``load_series`` of ``data``, the bytes read from ``path``."""
+    text = decode_utf8(path, data)
     values = _plain_values(text, metric)
     return _row_series(path, text, metric) if values is None else Series(values)
 
@@ -366,25 +377,22 @@ def build_dataset(series_dir, profiles_path, metric: Metric) -> Dataset:
     ``Dataset.missing``, not treated as errors.  A file for a coin without
     a profile is an error.
     """
-    series_dir = Path(series_dir)
+    series_dir, profiles_path = Path(series_dir), Path(profiles_path)
     profiles = load_profiles(profiles_path)
     suffix = f".{metric.value}.csv"
     series: dict[str, Series] = {}
-    fingerprints = {Path(profiles_path).name: _sha256(profiles_path)}
+    fingerprints = {profiles_path.name: hashlib.sha256(profiles_path.read_bytes()).hexdigest()}
     for path in sorted(series_dir.glob(f"*{suffix}")):
         coin_id = path.name[: -len(suffix)]
         if coin_id not in profiles:
             raise CoinclustError(f"{path.name}: no profile for coin {coin_id!r}")
-        series[coin_id] = load_series(path, metric)
-        fingerprints[path.name] = _sha256(path)
+        data = path.read_bytes()
+        series[coin_id] = parse_series(path, data, metric)
+        fingerprints[path.name] = hashlib.sha256(data).hexdigest()
     if not series:
         raise NoSeriesLoadedError(f"no {metric.value} series found in {series_dir}")
     missing = sorted(c for c in profiles if c not in series)
     return Dataset(metric=metric, series=series, profiles=profiles, missing=missing, fingerprints=fingerprints)
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def source_url(coin_id: str, metric: Metric) -> str:

@@ -248,6 +248,52 @@ def similarity_double_loop(rows, sigma):
     return s
 
 
+def similarity_row_loop(rows, sigma=None):
+    """The similarity matrix with every row against every row, σ by
+    ``np.median``: the arithmetic the upper-triangle fill must equal bit
+    for bit."""
+    x = np.asarray(rows, dtype=float)
+    sq = np.array([((x - row) ** 2).sum(axis=1) for row in x])
+    if sigma is None:
+        dists = np.sqrt(sq[np.triu_indices(x.shape[0], k=1)])
+        sigma = float(np.median(dists[dists > 0.0]))
+    with np.errstate(over="ignore"):
+        s = np.exp(-sq / (2.0 * sigma * sigma))
+    np.fill_diagonal(s, 0.0)
+    return s
+
+
+def kmeans_single_mean_loop(points, k, rng, max_iter=100):
+    """One k-means++ restart that scans every cluster for emptiness and
+    takes each centre as ``mean(axis=0)`` of its members: the arithmetic the
+    library's restart must equal bit for bit."""
+    m = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(m))]
+    closest = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = closest.sum()
+        idx = int(rng.choice(m, p=closest / total)) if total > 0.0 else c
+        centers[c] = points[idx]
+        closest = np.minimum(closest, ((points - centers[c]) ** 2).sum(axis=1))
+    labels = np.full(m, -1)
+    for _ in range(max_iter):
+        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(dist, axis=1)
+        for c in range(k):
+            if not np.any(new_labels == c):
+                owned = dist[np.arange(m), new_labels]
+                counts = np.bincount(new_labels, minlength=k)
+                owned[counts[new_labels] < 2] = -np.inf
+                new_labels[int(np.argmax(owned))] = c
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    return labels, float(((points - centers[labels]) ** 2).sum(axis=1).sum())
+
+
 def laplacian_eig_dense(similarity, k):
     """Normalized-Laplacian eigenpairs built element by element, solved with
     the generic (non-symmetric) eigensolver."""

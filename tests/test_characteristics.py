@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coinclust import characteristics
 from coinclust.characteristics import (
     COLUMNS,
+    WINDOW_REACH,
+    WINDOW_ROWS,
     autocorrelation_lag1,
     chaos_lyapunov,
     compute_characteristics,
@@ -324,6 +327,125 @@ def test_neighbor_search_row_with_no_candidate_is_settled_without_a_warning():
     points = np.random.default_rng(1).normal(size=(3, 2))
     got = nearest_outside_window(points, 1, 0.0)
     assert got.tolist() == nearest_outside_window_naive(points, 1, 0.0) == [2, -1, 0]
+
+
+# --- the window stage: orbits longer than WINDOW_ROWS + 2 * WINDOW_REACH points ----------
+
+WINDOW_CASES = {
+    "random_walk": lambda n: random_walk(n, seed=11),
+    "logistic_map": logistic_map,
+    "period_20_sine": period_20_sine,
+    "block_times": block_times,
+    "stablecoin": stablecoin_price,
+    "repeated_walk": lambda n: np.repeat(random_walk((n + 1) // 2, seed=12), 2)[:n],
+}
+TIE_HEAVY = ("period_20_sine", "block_times", "stablecoin")
+
+
+def _search_with_open_rows(monkeypatch, points, theiler, tol2):
+    """The neighbours, and the rows the window stage left open (None when it did not run)."""
+    seen = []
+    window_stage = characteristics._window_stage
+
+    def recording(*args):
+        seen.append(window_stage(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(characteristics, "_window_stage", recording)
+        got = nearest_outside_window(points, theiler, tol2)
+    return got, (seen[0] if seen else None)
+
+
+def _search_without_window(monkeypatch, points, theiler, tol2):
+    """The exact path over every row: the screen against all points, then direct differences."""
+    with monkeypatch.context() as patch:
+        patch.setattr(characteristics, "_window_stage", lambda points, *_: np.arange(len(points)))
+        return nearest_outside_window(points, theiler, tol2)
+
+
+@pytest.mark.parametrize("theiler", [1, 10, 40])
+@pytest.mark.parametrize("n", [1_000, 3_000])
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_window_stage_equals_the_path_over_every_row(monkeypatch, case, n, theiler):
+    x = WINDOW_CASES[case](n)
+    points = delay_embedding(x)
+    tol2 = (1e-9 * float(np.std(x))) ** 2
+    got, open_rows = _search_with_open_rows(monkeypatch, points, theiler, tol2)
+    assert got.tolist() == _search_without_window(monkeypatch, points, theiler, tol2).tolist()
+    assert open_rows is not None
+    if case in ("random_walk", "logistic_map"):
+        assert open_rows.size < 0.1 * n  # the window settles almost every row
+    if case in TIE_HEAVY and n == 3_000:
+        assert open_rows.size == len(points)  # the probe gave every row to the exact path
+
+
+@pytest.mark.parametrize("m, tau", [(1, 1), (4, 2)])
+@pytest.mark.parametrize("case", ["random_walk", "logistic_map", "stablecoin"])
+def test_window_stage_in_other_embeddings(monkeypatch, case, m, tau):
+    x = WINDOW_CASES[case](2_000)
+    n_points = x.size - (m - 1) * tau
+    points = np.column_stack([x[c * tau : c * tau + n_points] for c in range(m)])
+    tol2 = (1e-9 * float(np.std(x))) ** 2
+    got, open_rows = _search_with_open_rows(monkeypatch, points, 10, tol2)
+    assert open_rows is not None
+    assert got.tolist() == _search_without_window(monkeypatch, points, 10, tol2).tolist()
+
+
+def test_window_stage_matches_naive_oracle(monkeypatch):
+    x = random_walk(1_500, seed=4)
+    points = delay_embedding(x)
+    tol2 = (1e-9 * float(np.std(x))) ** 2
+    got, open_rows = _search_with_open_rows(monkeypatch, points, 10, tol2)
+    assert open_rows is not None and open_rows.size < 0.1 * len(points)
+    assert got.tolist() == nearest_outside_window_naive(points, 10, tol2)
+
+
+@pytest.mark.parametrize("time", [0, -1])
+def test_window_stage_keeps_the_band_of_a_row_at_either_end_of_time(monkeypatch, time):
+    # The row at time 0 (or n - 1) has temporal neighbours before time 0 (or
+    # after n - 1).  Its nearest point sits at sorted position W, which a
+    # block with lo > 0 sees at window column W - lo: a band sentinel of W,
+    # shifted by lo, would mask that point and pick another.
+    n, width = 1_200, WINDOW_ROWS + 2 * WINDOW_REACH
+    values = np.random.default_rng(7).random(n)
+    # rank W among the other points, and so among all once values[time] sits just above it
+    target = [i for i in np.argsort(values) if i != time % n][width]
+    assert abs(target - time % n) > 10
+    values[time] = values[target] + 1e-9
+    points = np.column_stack([values, np.zeros(n)])
+    got, open_rows = _search_with_open_rows(monkeypatch, points, 10, 0.0)
+    assert open_rows is not None and time % n not in open_rows
+    assert got[time] == target
+    assert got.tolist() == _search_without_window(monkeypatch, points, 10, 0.0).tolist()
+
+
+@pytest.mark.parametrize("spread", [1.0, 3.0, 100.0])
+def test_window_stage_when_the_nearest_point_may_lie_outside_the_window(monkeypatch, spread):
+    # The wider the second coordinate spreads, the farther a row's nearest
+    # point tends to be in first-coordinate order; only the gap to the
+    # points outside the window tells whether the window's winner is it.
+    rng = np.random.default_rng(8)
+    points = np.column_stack([rng.random(3_000), spread * rng.random(3_000)])
+    got, open_rows = _search_with_open_rows(monkeypatch, points, 10, 0.0)
+    assert open_rows is not None
+    assert got.tolist() == _search_without_window(monkeypatch, points, 10, 0.0).tolist()
+
+
+@pytest.mark.parametrize("theiler", [10, (WINDOW_REACH - 1) // 2, WINDOW_REACH // 2, 1_100])
+def test_neighbor_search_memory_does_not_grow_with_the_band(theiler):
+    # 2 * theiler + 1 above WINDOW_REACH skips the window stage, and the band
+    # is masked by index per block: the peak stays at a few screen blocks.
+    x = random_walk(4_500, seed=4)
+    points = delay_embedding(x)
+    tracemalloc.start()
+    try:
+        nearest_outside_window(points, theiler, 1e-18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
 
 @pytest.mark.parametrize("case", ["period_20_sine", "stablecoin"])
 def test_lyapunov_tied_series_match_oracle(case):

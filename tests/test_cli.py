@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -11,7 +14,7 @@ from coinclust.errors import CoinclustError, ConfigError
 from coinclust.ingest import Metric, build_dataset
 from coinclust.spectrum import bin_names
 
-from conftest import FIXTURE_DIR, SNAPSHOT_DIR, random_walk
+from conftest import FIXTURE_DIR, REPO_ROOT, SNAPSHOT_DIR, random_walk
 
 
 def run(args):
@@ -71,6 +74,19 @@ def test_report_bundle(tmp_path, snapshot_dir):
     # config echoed verbatim for reproducibility
     assert report["config"]["seed"] == 42
     assert report["fingerprints"]
+
+
+def test_snapshot_report_never_imports_numpy_ma(tmp_path, snapshot_dir):
+    # np.quantile, np.median and np.unique import numpy.ma on first use
+    code = (
+        "import sys\n"
+        "from coinclust.cli import main\n"
+        f"assert main(['report', '--data-dir', {str(snapshot_dir)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_report_rerun_identical(tmp_path, snapshot_dir):

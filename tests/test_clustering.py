@@ -21,7 +21,10 @@ from coinclust.errors import CoinclustError, DegenerateGeometryError
 from coinclust.ingest import Dataset, Metric, build_dataset
 
 from conftest import make_series, random_walk
-from oracles import co_membership, kmeans_exhaustive, laplacian_eig_dense, similarity_double_loop
+from oracles import (
+    co_membership, kmeans_exhaustive, kmeans_single_mean_loop, laplacian_eig_dense, similarity_double_loop,
+    similarity_row_loop,
+)
 
 
 def fm(rows, ids=None, cols=None):
@@ -120,6 +123,17 @@ def test_similarity_row_by_row_is_small_symmetric_and_bit_identical():
     expected = np.exp(-sq / (2.0 * sigma * sigma))
     np.fill_diagonal(expected, 0.0)
     assert np.array_equal(s, expected)
+
+
+@pytest.mark.parametrize("m, dims", [(3, 1), (4, 4), (7, 9), (40, 16), (61, 216), (300, 216)])
+@pytest.mark.parametrize("sigma", [None, 0.7])
+@pytest.mark.parametrize("order", ["C", "F"])  # standardize returns F order
+def test_similarity_upper_triangle_equals_the_row_loop_bit_for_bit(m, dims, sigma, order):
+    rng = np.random.default_rng(m * dims)
+    x = np.round(rng.standard_normal((m, dims)), 1)
+    x[m // 2] = x[0]  # a zero distance, which the median skips
+    x = np.asarray(x, order=order)
+    assert similarity_matrix(x, sigma).tobytes() == similarity_row_loop(x, sigma).tobytes()
 
 
 def test_similarity_degenerate():
@@ -229,6 +243,30 @@ def test_kmeans_seeding_when_every_point_sits_on_a_centre(points, k):
     labels, inertia = kmeans(points, k, seed=0)
     assert np.bincount(labels, minlength=k).min() >= 1
     assert inertia == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kmeans_restart_equals_the_mean_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(5, 400))
+    k = int(rng.integers(2, 7))
+    points = rng.standard_normal((m, k))
+    if seed % 3 == 0:
+        points = np.round(points)  # duplicates: empty clusters to repair
+    points /= np.maximum(np.linalg.norm(points, axis=1, keepdims=True), 1e-12)
+    got = clustering._kmeans_single(points, k, np.random.default_rng(seed))
+    labels, inertia = kmeans_single_mean_loop(points, k, np.random.default_rng(seed))
+    assert got[0].tolist() == labels.tolist() and got[1] == inertia
+
+
+def test_kmeans_repair_equals_the_mean_loop():
+    # three distinct points for five clusters: every restart repairs
+    points = np.repeat(np.eye(3), [4, 3, 2], axis=0)
+    for seed in range(10):
+        got = clustering._kmeans_single(points, 5, np.random.default_rng(seed))
+        labels, inertia = kmeans_single_mean_loop(points, 5, np.random.default_rng(seed))
+        assert got[0].tolist() == labels.tolist() and got[1] == inertia
+        assert np.bincount(got[0], minlength=5).min() >= 1
 
 
 def test_kmeans_deterministic():

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import re
 import tracemalloc
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +242,23 @@ def test_snapshot_datasets_hold_little_beyond_their_values(snapshot_dir):
         tracemalloc.stop()
     assert sum(len(s) for d in datasets for s in d.series.values()) > 100_000
     assert held < 2 * 10**6
+
+def test_build_dataset_reads_each_series_file_once(monkeypatch, snapshot_dir):
+    files = ["profiles.txt"] + sorted(p.name for p in snapshot_dir.glob("*.price_usd.csv"))
+    expected = {name: hashlib.sha256((snapshot_dir / name).read_bytes()).hexdigest() for name in files}
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting(path):
+        reads.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
+    series_reads = [name for name in reads if name.endswith(".csv")]
+    assert len(series_reads) == len(set(series_reads)) == len(ds.series) == 18
+    assert ds.fingerprints == expected
+
 
 def test_build_dataset_missing_report(tmp_path):
     coins = [f"coin{i:02d}" for i in range(18)]

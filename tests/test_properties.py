@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from coinclust.characteristics import compute_characteristics, nearest_outside_window, self_similarity_dfa
+from coinclust.characteristics import (
+    QUANTILE_LEVELS, compute_characteristics, nearest_outside_window, quantiles, self_similarity_dfa,
+)
+from coinclust.clustering import _median
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
 from coinclust.ingest import (
@@ -40,6 +43,21 @@ def test_neighbor_search_matches_oracle_on_rounded_series(seed, n, decimals, lev
     tol2 = (1e-9 * float(np.std(x))) ** 2
     got = nearest_outside_window(points, theiler, tol2)
     assert got.tolist() == nearest_outside_window_naive(points, theiler, tol2)
+
+
+_SAMPLES = st.one_of(
+    st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=60),
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60),  # ties
+).map(np.array)
+
+
+@settings(deadline=None, max_examples=400)
+@given(x=_SAMPLES)
+@example(x=np.array([2.5]))
+@example(x=np.array([1.0, 4.0]))
+def test_quantiles_and_median_equal_numpy(x):
+    assert np.array(quantiles(x)).tolist() == np.quantile(x, QUANTILE_LEVELS, method="linear").tolist()
+    assert _median(x) == np.median(x)
 
 
 @settings(deadline=None, max_examples=50)
