@@ -10,7 +10,9 @@ part of the clustering contract.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -162,18 +164,27 @@ def quantiles(values) -> Quantiles:
     return Quantiles(*(float(v) for v in q))
 
 
+def line_slope(x, y) -> float:
+    """Least-squares slope of y on x in closed form.
+
+    With dx = x - mean(x), the slope is sum(dx * (y - mean(y))) / sum(dx * dx).
+    Every mean and sum is one ``np.add.reduce`` (numpy's pairwise order),
+    so no BLAS or LAPACK kernel decides a bit of it.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x - np.add.reduce(x) / x.size
+    return float(np.add.reduce(dx * (y - np.add.reduce(y) / y.size)) / np.add.reduce(dx * dx))
+
+
 def ols_line(values) -> tuple[float, float]:
     """Least-squares slope and intercept of value on the index t = 0..n-1."""
     y = np.asarray(values, dtype=float)
     n = y.size
     if n < 2:
         raise CoinclustError("ols_line: need at least 2 observations")
-    t = np.arange(n, dtype=float)
-    tbar = (n - 1) / 2.0
-    stt = float(np.sum((t - tbar) ** 2))
-    slope = float(np.sum((t - tbar) * (y - np.mean(y))) / stt)
-    intercept = float(np.mean(y) - slope * tbar)
-    return slope, intercept
+    slope = line_slope(np.arange(n), y)
+    return slope, float(np.mean(y) - slope * ((n - 1) / 2.0))
 
 
 def autocorrelation_lag1(values) -> float:
@@ -192,60 +203,125 @@ def autocorrelation_lag1(values) -> float:
     return float(np.sum(d[:-1] * d[1:]) / denom)
 
 
-def _log_spaced_windows(lo: int, hi: int, num: int) -> np.ndarray:
-    grid = np.clip(np.round(np.logspace(np.log10(lo), np.log10(hi), num=num)).astype(int), lo, hi)
+@lru_cache(maxsize=256)
+def _log_spaced_windows(lo: int, hi: int) -> tuple[int, ...]:
+    grid = np.clip(np.round(np.logspace(np.log10(lo), np.log10(hi), num=DFA_WINDOW_CANDIDATES)).astype(int),
+                   lo, hi)
     # the grid ascends, so dropping repeats of the previous value is np.unique
-    return grid[np.r_[True, grid[1:] != grid[:-1]]]
+    return tuple(grid[np.r_[True, grid[1:] != grid[:-1]]].tolist())
 
 
-def self_similarity_dfa(values, config: RunConfig | None = None) -> float:
-    """Self-similarity exponent via first-order detrended fluctuation analysis.
+def dfa_window_sizes(n: int, config: RunConfig) -> tuple[int, ...]:
+    """The window sizes the fluctuation analysis uses on a series of n values.
+
+    They are the log-spaced grid in [dfa_min_window, int(n *
+    dfa_max_window_frac)] less the sizes that do not fit twice in n.  Fewer
+    than ``MIN_DFA_LEN`` values, or fewer than two such sizes, raise
+    ``CoinclustError``.
+    """
+    if n < MIN_DFA_LEN:
+        raise CoinclustError(f"self_similarity: need >= {MIN_DFA_LEN} observations, got {n}")
+    s_max = int(n * config.dfa_max_window_frac)
+    setting = (f"self_similarity: dfa_min_window={config.dfa_min_window} "
+               f"and dfa_max_window_frac={config.dfa_max_window_frac}")
+    if s_max <= config.dfa_min_window:
+        raise CoinclustError(f"{setting} leave fewer than 2 window sizes: the largest window "
+                             "int(n * dfa_max_window_frac) must exceed dfa_min_window")
+    grid = _log_spaced_windows(config.dfa_min_window, s_max)
+    sizes = grid[: bisect_right(grid, n // 2)]  # n // s >= 2 exactly when s <= n // 2
+    if len(sizes) < 2:
+        raise CoinclustError(f"{setting} leave fewer than 2 window sizes that fit twice in the series")
+    return sizes
+
+
+# Cap, in floats, on each array one step of the fluctuation analysis or of
+# the neighbour screen allocates; only a single longer series exceeds it.
+BLOCK_FLOATS = 2**16
+
+
+def self_similarity_dfa(batch, config: RunConfig | None = None) -> np.ndarray:
+    """Self-similarity exponent of each series in ``batch`` via first-order
+    detrended fluctuation analysis.
 
     The demeaned series is integrated into a profile; for each window size s
-    on a log-spaced grid in [dfa_min_window, n * dfa_max_window_frac] the
-    profile is cut into non-overlapping windows, each window linearly
-    detrended, and F(s) is the RMS residual.  The exponent is the slope of
-    log F(s) against log s.
+    of ``dfa_window_sizes`` the profile is cut into its n // s leading
+    non-overlapping windows, each window linearly detrended, and F(s) is
+    the RMS residual.  The exponent is the slope of log F(s) against log s
+    over the sizes with F(s) > 0, by ``line_slope``; with fewer than two
+    such sizes (zero-variance input) it is 0.  A series that fails
+    ``dfa_window_sizes`` raises its ``CoinclustError``.
 
     Values near 0.5 indicate uncorrelated increments, near 1.5 a random
     walk; a pure deterministic trend saturates the estimator near 2.
-    Zero-variance input returns 0.  A grid with fewer than two window
-    sizes that fit twice in the series raises ``CoinclustError``.
+
+    Arithmetic.  The series are taken in blocks of consecutive series whose
+    profiles total at most ``BLOCK_FLOATS`` values.  For each window size,
+    the windows of every series of the block that uses it are stacked as
+    rows, and each row is reduced on its own with ``np.add.reduce(axis=1)``:
+    the window mean sum(w) / s, the slope sum(r * tc) / (s(s^2 - 1) / 12)
+    of the demeaned window r on the centred times tc = t - (s - 1) / 2,
+    and the sum of the squared residuals.  A series' F^2(s) is its first
+    row's sum plus the ``np.add.reduce`` of its other rows' sums (the order
+    of ``np.add.reduceat``), over the number of values in its windows.  So
+    no exponent depends on the other series in the batch, and none on the
+    BLAS kernel.
     """
     cfg = config or RunConfig()
-    x = np.asarray(values, dtype=float)
-    n = x.size
-    if n < MIN_DFA_LEN:
-        raise CoinclustError(f"self_similarity: need >= {MIN_DFA_LEN} observations, got {n}")
-    profile = np.cumsum(x - np.mean(x))
-    if np.all(profile == 0.0):
-        return 0.0
-    s_max = int(n * cfg.dfa_max_window_frac)
-    setting = (f"self_similarity: dfa_min_window={cfg.dfa_min_window} "
-               f"and dfa_max_window_frac={cfg.dfa_max_window_frac}")
-    if s_max <= cfg.dfa_min_window:
-        raise CoinclustError(f"{setting} leave fewer than 2 window sizes: the largest window "
-                             "int(n * dfa_max_window_frac) must exceed dfa_min_window")
-    scales = _log_spaced_windows(cfg.dfa_min_window, s_max, DFA_WINDOW_CANDIDATES)
-    scales = scales[n // scales >= 2].tolist()
-    if len(scales) < 2:
-        raise CoinclustError(f"{setting} leave fewer than 2 window sizes that fit twice in the series")
-    log_s, log_f = [], []
-    for s in scales:
+    xs = [np.asarray(values, dtype=float) for values in batch]
+    sizes = [dfa_window_sizes(x.size, cfg) for x in xs]
+    exponents = np.empty(len(xs))
+    centred: dict[int, np.ndarray] = {}
+    start = 0
+    while start < len(xs):
+        stop, total = start + 1, xs[start].size
+        while stop < len(xs) and total + xs[stop].size <= BLOCK_FLOATS:
+            total += xs[stop].size
+            stop += 1
+        exponents[start:stop] = _dfa_block(xs[start:stop], sizes[start:stop], centred)
+        start = stop
+    return exponents
+
+
+def _dfa_block(xs: list[np.ndarray], sizes: list[tuple[int, ...]], centred: dict) -> np.ndarray:
+    """``self_similarity_dfa`` of one block of series; ``centred`` caches
+    the centred times of each window size across blocks."""
+    offsets = np.cumsum([0] + [x.size for x in xs]).tolist()
+    profile = np.empty(offsets[-1])
+    for x, at in zip(xs, offsets):
+        np.cumsum(x - np.mean(x), out=profile[at : at + x.size])
+    users: dict[int, list[int]] = {}
+    for i, coin_sizes in enumerate(sizes):
+        for s in coin_sizes:
+            users.setdefault(s, []).append(i)
+    scales = sorted(users)
+    f2 = np.zeros((len(xs), len(scales)))
+    windows, work = np.empty(profile.size), np.empty(profile.size)
+    for j, s in enumerate(scales):
+        coins = users[s]
+        counts = [xs[i].size // s for i in coins]
+        seg = windows[: sum(counts) * s]
+        np.concatenate([profile[offsets[i] : offsets[i] + c * s] for i, c in zip(coins, counts)], out=seg)
+        seg = seg.reshape(-1, s)
+        prod = work[: seg.size].reshape(-1, s)
+        if s not in centred:
+            centred[s] = np.arange(s) - (s - 1) / 2
+        tc = centred[s]
         # exact: sum(tc * tc) == s(s^2 - 1)/12, and add.reduce / count is np.mean's arithmetic
-        seg = profile[: n // s * s].reshape(-1, s)
-        tc = np.arange(s) - (s - 1) / 2
-        resid = seg - np.add.reduce(seg, axis=1, keepdims=True) / s
-        resid -= np.multiply.outer(resid @ tc / (s * (s * s - 1) / 12), tc)
-        resid *= resid
-        f2 = np.add.reduce(resid, axis=None) / resid.size
-        if f2 > 0.0:
-            log_s.append(np.log(s))
-            log_f.append(0.5 * np.log(f2))
-    if len(log_s) < 2:
-        return 0.0
-    slope, _ = np.polyfit(log_s, log_f, 1)
-    return float(slope)
+        seg -= np.add.reduce(seg, axis=1, keepdims=True) / s
+        np.multiply(seg, tc, out=prod)
+        np.multiply.outer(np.add.reduce(prod, axis=1) / (s * (s * s - 1) / 12), tc, out=prod)
+        seg -= prod
+        seg *= seg
+        first_rows = np.cumsum([0] + counts[:-1])
+        f2[coins, j] = np.add.reduceat(np.add.reduce(seg, axis=1), first_rows) / (np.array(counts) * s)
+    log_s = np.log(scales)
+    fitted = f2 > 0.0
+    half_log_f = 0.5 * np.log(f2, out=np.zeros_like(f2), where=fitted)
+    exponents = np.zeros(len(xs))
+    for i, keep in enumerate(fitted):
+        if np.count_nonzero(keep) >= 2:
+            exponents[i] = line_slope(log_s[keep], half_log_f[i, keep])
+    return exponents
 
 
 def _mean_period(x: np.ndarray) -> int:
@@ -409,7 +485,7 @@ def _screen_rows(points, lhs, rhs, slack, rows, theiler, tol2, neighbors) -> Non
     every point, take the rows the margin test settles, and settle the rest
     by direct differences."""
     n, m = points.shape
-    block = max(1, min(rows.size, 2**16 // n))
+    block = max(1, min(rows.size, BLOCK_FLOATS // n))
     screen = np.empty((block, n))
     at = np.arange(block)
     best, first, second = np.empty(rows.size, dtype=np.intp), np.empty(rows.size), np.empty(rows.size)
@@ -545,8 +621,7 @@ def chaos_lyapunov(values, config: RunConfig | None = None) -> float:
         k_end = int(np.argmax(y >= y[0] + 0.9 * rise))
         k_end = max(k_end, 2)
         y, kfit = y[: k_end + 1], kfit[: k_end + 1]
-    slope, _ = np.polyfit(kfit, y, 1)
-    return float(slope)
+    return line_slope(kfit, y)
 
 
 # Exponent above which the fluctuation analysis is pinned at its
@@ -554,51 +629,69 @@ def chaos_lyapunov(values, config: RunConfig | None = None) -> float:
 DFA_SATURATION = 1.9
 
 
-def compute_characteristics(series, config: RunConfig | None = None) -> CharacteristicVector:
-    """Assemble all sixteen characteristics of one series.
+def compute_characteristics(series, config: RunConfig | None = None) -> list[CharacteristicVector | CoinclustError]:
+    """All sixteen characteristics of each of a metric's series.
 
-    This is where a series is judged usable.  Fewer than
-    ``min_series_len`` values raise ``CoinclustError``.  A constant series
-    (``np.ptp == 0``, exact at every level) gets, before any estimator
-    runs, the level as its mean, order statistics and intercept, exactly
-    0.0 in the seven other fields and the flag ``zero_variance``.  Other
-    series go through every estimator; an estimator's own length floor
-    propagates, its message starting with the field name.
+    Returns one entry per series, in order: its vector, or the
+    ``CoinclustError`` that excludes it.  This is where a series is judged
+    usable.  Fewer than ``min_series_len`` values exclude it.  A constant
+    series (``np.ptp == 0``, exact at every level) gets, before any
+    estimator runs, the level as its mean, order statistics and intercept,
+    exactly 0.0 in the seven other fields and the flag ``zero_variance``.
+    Other series go through every estimator, and the first floor that one
+    of them fails excludes the series, its message starting with the field
+    name; the fluctuation analysis' length and window grid come before the
+    divergence rate.  The self-similarity exponents of the series that pass
+    come from one ``self_similarity_dfa`` call, which computes each from
+    that series alone.
     """
     cfg = config or RunConfig()
-    values = np.asarray(series.values, dtype=float)
-    if values.size < cfg.min_series_len:
-        raise CoinclustError(f"fewer than min_series_len={cfg.min_series_len} rows")
-    if np.ptp(values) == 0.0:
-        level = float(values[0])
-        return CharacteristicVector(
-            level, 0.0, 0.0, 0.0, *[level] * 7, slope=0.0, intercept=level,
-            autocorrelation=0.0, self_similarity=0.0, chaos=0.0, flags=("zero_variance",),
-        )
-
-    mom = moments(values)
-    q = quantiles(values)
-    slope, _ = ols_line(values)
-    acf = autocorrelation_lag1(values)
-    dfa = self_similarity_dfa(values, cfg)
-    lyap = chaos_lyapunov(values, cfg)
-
-    return CharacteristicVector(
-        mean=mom.mean,
-        standard_deviation=mom.standard_deviation,
-        skewness=mom.skewness,
-        kurtosis=mom.kurtosis,
-        maximum=q.maximum,
-        minimum=q.minimum,
-        lowerquant=q.lowerquant,
-        median=q.median,
-        upperquant=q.upperquant,
-        var99=q.var99,
-        var95=q.var95,
-        slope=slope,
-        intercept=float(values[0]),
-        autocorrelation=acf,
-        self_similarity=dfa,
-        chaos=lyap,
-        flags=("dfa_saturated",) if dfa >= DFA_SATURATION else (),
-    )
+    results: list[CharacteristicVector | CoinclustError] = []
+    pending: list[tuple[int, np.ndarray]] = []  # (position, values) awaiting the DFA exponent
+    for item in series:
+        values = np.asarray(item.values, dtype=float)
+        if values.size < cfg.min_series_len:
+            results.append(CoinclustError(f"fewer than min_series_len={cfg.min_series_len} rows"))
+            continue
+        if np.ptp(values) == 0.0:
+            level = float(values[0])
+            results.append(CharacteristicVector(
+                level, 0.0, 0.0, 0.0, *[level] * 7, slope=0.0, intercept=level,
+                autocorrelation=0.0, self_similarity=0.0, chaos=0.0, flags=("zero_variance",),
+            ))
+            continue
+        try:
+            mom = moments(values)
+            q = quantiles(values)
+            slope, _ = ols_line(values)
+            acf = autocorrelation_lag1(values)
+            dfa_window_sizes(values.size, cfg)
+            lyap = chaos_lyapunov(values, cfg)
+        except CoinclustError as exc:
+            results.append(exc)
+            continue
+        pending.append((len(results), values))
+        results.append(CharacteristicVector(
+            mean=mom.mean,
+            standard_deviation=mom.standard_deviation,
+            skewness=mom.skewness,
+            kurtosis=mom.kurtosis,
+            maximum=q.maximum,
+            minimum=q.minimum,
+            lowerquant=q.lowerquant,
+            median=q.median,
+            upperquant=q.upperquant,
+            var99=q.var99,
+            var95=q.var95,
+            slope=slope,
+            intercept=float(values[0]),
+            autocorrelation=acf,
+            self_similarity=np.nan,  # set below, from the one batch
+            chaos=lyap,
+        ))
+    exponents = self_similarity_dfa([values for _, values in pending], cfg)
+    for (at, _), dfa in zip(pending, exponents.tolist()):
+        results[at].self_similarity = dfa
+        if dfa >= DFA_SATURATION:
+            results[at].flags = ("dfa_saturated",)
+    return results

@@ -84,11 +84,14 @@ def assemble_features(dataset: Dataset, config: RunConfig | None = None) -> Feat
     rows: list[np.ndarray] = []
     excluded: dict[str, str] = {}
     coin_flags: dict[str, tuple[str, ...]] = {}
-    for coin_id in dataset.coin_ids():
-        series = dataset.series[coin_id]
+    coins = dataset.coin_ids()
+    vectors = compute_characteristics([dataset.series[c] for c in coins], cfg)
+    for coin_id, vec in zip(coins, vectors):
+        if isinstance(vec, CoinclustError):
+            excluded[coin_id] = str(vec)
+            continue
         try:
-            vec = compute_characteristics(series, cfg)
-            spec = spectrum_feature(series, cfg.spectrum_bins)
+            spec = spectrum_feature(dataset.series[coin_id], cfg.spectrum_bins)
         except CoinclustError as exc:
             excluded[coin_id] = str(exc)
             continue

@@ -337,6 +337,11 @@ def load_profiles(path) -> dict[str, MechanismProfile]:
     starts with the file name; a line, key or block error goes on with
     ``:<line>:``."""
     path = Path(path)
+    return parse_profiles(path, path.read_bytes())
+
+
+def parse_profiles(path: Path, data: bytes) -> dict[str, MechanismProfile]:
+    """``load_profiles`` of ``data``, the bytes read from ``path``."""
     profiles: dict[str, MechanismProfile] = {}
     block: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -353,7 +358,7 @@ def load_profiles(path) -> dict[str, MechanismProfile]:
         block.clear()
         lines.clear()
 
-    for lineno, raw in enumerate(io.StringIO(read_utf8(path), newline=None), start=1):
+    for lineno, raw in enumerate(io.StringIO(decode_utf8(path, data), newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             flush()
@@ -378,10 +383,11 @@ def build_dataset(series_dir, profiles_path, metric: Metric) -> Dataset:
     a profile is an error.
     """
     series_dir, profiles_path = Path(series_dir), Path(profiles_path)
-    profiles = load_profiles(profiles_path)
+    data = profiles_path.read_bytes()
+    profiles = parse_profiles(profiles_path, data)
     suffix = f".{metric.value}.csv"
     series: dict[str, Series] = {}
-    fingerprints = {profiles_path.name: hashlib.sha256(profiles_path.read_bytes()).hexdigest()}
+    fingerprints = {profiles_path.name: hashlib.sha256(data).hexdigest()}
     for path in sorted(series_dir.glob(f"*{suffix}")):
         coin_id = path.name[: -len(suffix)]
         if coin_id not in profiles:

@@ -109,13 +109,27 @@ def dfa_naive(values, min_window=4, max_frac=0.25, candidates=20):
     return float(slope)
 
 
-def dfa_reference_loop(values, min_window=4, max_frac=0.25, candidates=20):
-    """The library's earlier vectorised DFA, its per-scale loop kept verbatim.
+def line_slope_closed_form(x, y):
+    """Least-squares slope sum(dx * (y - ybar)) / sum(dx * dx), dx = x - xbar,
+    every mean and sum by ``np.add.reduce``: the fit the library must use
+    bit for bit, itself pinned to ``np.polyfit`` by tolerance."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x - np.add.reduce(x) / x.size
+    return float(np.add.reduce(dx * (y - np.add.reduce(y) / y.size)) / np.add.reduce(dx * dx))
 
-    Every scale recomputes the centred times with ``arange``/``mean``/``sum``
-    and the window means with ``mean``; where fewer than two window sizes fit
-    twice in the series it returns 0.0.  The library must equal it bit for bit
-    wherever two or more sizes fit (callers ensure int(n * max_frac) > min_window).
+
+def dfa_reference_loop(values, min_window=4, max_frac=0.25, candidates=20):
+    """The library's DFA arithmetic, one series and one scale at a time.
+
+    Every scale recomputes the centred times with ``arange``/``mean``/``sum``,
+    the window means with ``mean``, each window's slope and residual sum
+    with ``np.add.reduce`` along the row, and F^2 as the first row's sum plus
+    the ``np.add.reduce`` of the other rows' sums.  The exponent is
+    ``line_slope_closed_form`` of 0.5 log F^2 on log s; where fewer than two
+    window sizes fit twice in the series it is 0.0.  The library must equal
+    it bit for bit wherever two or more sizes fit (callers ensure
+    int(n * max_frac) > min_window), whatever series share its batch.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -134,16 +148,16 @@ def dfa_reference_loop(values, min_window=4, max_frac=0.25, candidates=20):
         tc = t - t.mean()
         stt = float(np.sum(tc * tc))
         seg_mean = seg.mean(axis=1, keepdims=True)
-        slope = (seg - seg_mean) @ tc / stt
+        slope = np.add.reduce((seg - seg_mean) * tc, axis=1) / stt
         resid = seg - seg_mean - slope[:, None] * tc[None, :]
-        f2 = np.mean(resid * resid)
+        row_sums = np.add.reduce(resid * resid, axis=1)
+        f2 = (row_sums[0] + np.add.reduce(row_sums[1:])) / resid.size
         if f2 > 0.0:
             log_s.append(np.log(s))
             log_f.append(0.5 * np.log(f2))
     if len(log_s) < 2:
         return 0.0
-    slope, _ = np.polyfit(log_s, log_f, 1)
-    return float(slope)
+    return line_slope_closed_form(log_s, log_f)
 
 
 # --- naive divergence-rate estimate ---------------------------------------------

@@ -105,8 +105,7 @@ def test_criterion_2_dfa_calibration():
     t0 = time.time()
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        noise = self_similarity_dfa(rng.standard_normal(10_000))
-        walk = self_similarity_dfa(np.cumsum(rng.standard_normal(10_000)))
+        noise, walk = self_similarity_dfa([rng.standard_normal(10_000), np.cumsum(rng.standard_normal(10_000))])
         assert 0.45 <= noise <= 0.55, f"seed {seed}: noise exponent {noise}"
         assert 1.4 <= walk <= 1.6, f"seed {seed}: walk exponent {walk}"
         assert noise < walk

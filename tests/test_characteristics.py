@@ -17,6 +17,7 @@ from coinclust.characteristics import (
     chaos_lyapunov,
     compute_characteristics,
     divergence_curve,
+    line_slope,
     moments,
     nearest_outside_window,
     ols_line,
@@ -33,6 +34,7 @@ from oracles import (
     dfa_naive,
     dfa_reference_loop,
     divergence_curve_step_loop,
+    line_slope_closed_form,
     lyapunov_naive,
     moments_direct,
     nearest_outside_window_naive,
@@ -110,7 +112,7 @@ def test_quantile_ordering_invariant():
 def test_trend_exact_line():
     slope, intercept = ols_line([2, 4, 6, 8])
     assert (slope, intercept) == (pytest.approx(2.0), pytest.approx(2.0))
-    vec = compute_characteristics(make_series(3.0 + 2.0 * np.arange(300)))
+    [vec] = compute_characteristics([make_series(3.0 + 2.0 * np.arange(300))])
     assert vec.slope == pytest.approx(2.0)
     assert vec.intercept == 3.0  # first observed value
 
@@ -118,7 +120,7 @@ def test_trend_exact_line():
 def test_trend_constant():
     slope, _ = ols_line([5.0, 5.0, 5.0])
     assert slope == pytest.approx(0.0)
-    vec = compute_characteristics(make_series(np.full(300, 5.0)))
+    [vec] = compute_characteristics([make_series(np.full(300, 5.0))])
     assert (vec.slope, vec.intercept) == (0.0, 5.0)
 
 
@@ -161,30 +163,30 @@ def test_acf1_random_walk_near_one():
 # --- self-similarity (DFA) ---------------------------------------------------------
 
 def test_dfa_white_noise_range():
-    got = self_similarity_dfa(white_noise(10_000, seed=1))
+    [got] = self_similarity_dfa([white_noise(10_000, seed=1)])
     assert 0.45 <= got <= 0.55
 
 
 def test_dfa_random_walk_range():
-    got = self_similarity_dfa(random_walk(10_000, seed=1))
+    [got] = self_similarity_dfa([random_walk(10_000, seed=1)])
     assert 1.4 <= got <= 1.6
 
 
 def test_dfa_linear_ramp_saturates():
-    got = self_similarity_dfa(np.arange(1000, dtype=float))
+    [got] = self_similarity_dfa([np.arange(1000, dtype=float)])
     assert got == pytest.approx(2.0, abs=0.1)
-    vec = compute_characteristics(make_series(np.arange(1000, dtype=float)))
+    [vec] = compute_characteristics([make_series(np.arange(1000, dtype=float))])
     assert "dfa_saturated" in vec.flags
 
 
 def test_dfa_matches_naive_oracle():
     x = random_walk(2_000, seed=17)
-    assert self_similarity_dfa(x) == pytest.approx(dfa_naive(x), rel=1e-8)
+    assert self_similarity_dfa([x])[0] == pytest.approx(dfa_naive(x), rel=1e-8)
 
 
 def test_dfa_too_short():
     with pytest.raises(CoinclustError, match=r"^self_similarity: need >= 100 observations, got 99$"):
-        self_similarity_dfa(white_noise(99, seed=0))
+        self_similarity_dfa([white_noise(99, seed=0)])
 
 
 @pytest.mark.parametrize("n, config", [
@@ -199,7 +201,7 @@ def test_dfa_with_fewer_than_two_window_sizes_raises(n, config):
         warnings.simplefilter("error")
         with pytest.raises(CoinclustError,
                            match="^self_similarity: dfa_min_window=.* and dfa_max_window_frac=") as exc:
-            self_similarity_dfa(random_walk(n, seed=3), config)
+            self_similarity_dfa([random_walk(n, seed=3)], config)
     assert str(n) not in str(exc.value)  # one reason for every length, so coins group by it
 
 
@@ -209,15 +211,24 @@ def test_dfa_equals_reference_loop_on_every_snapshot_series(snapshot_dir, config
     series = [s.values for metric in Metric
               for s in build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", metric).series.values()]
     assert len(series) == 51
-    for x in series:
-        assert self_similarity_dfa(x, config) == dfa_reference_loop(
-            x, config.dfa_min_window, config.dfa_max_window_frac)
+    assert self_similarity_dfa(series, config).tolist() == [
+        dfa_reference_loop(x, config.dfa_min_window, config.dfa_max_window_frac) for x in series]
+
+
+def test_closed_form_fit_matches_polyfit():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(2, 40))
+        x = rng.uniform(-5.0, 10.0, n)
+        slope = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        y = slope * x + rng.uniform(-2.0, 2.0) + rng.uniform(0.0, 1.0) * rng.standard_normal(n)
+        assert line_slope_closed_form(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
+        assert line_slope(x, y) == line_slope_closed_form(x, y)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_dfa_noise_below_walk(seed):
-    noise = self_similarity_dfa(white_noise(5_000, seed=seed))
-    walk = self_similarity_dfa(random_walk(5_000, seed=seed + 100))
+    noise, walk = self_similarity_dfa([white_noise(5_000, seed=seed), random_walk(5_000, seed=seed + 100)])
     assert noise < walk
 
 
@@ -507,7 +518,7 @@ def test_chaos_after_cli_import_leaves_scipy_unloaded():
 # --- assembled vector ---------------------------------------------------------------
 
 def test_constant_series_flagged_zeros():
-    vec = compute_characteristics(make_series(np.full(300, 4.0)))
+    [vec] = compute_characteristics([make_series(np.full(300, 4.0))])
     assert vec.standard_deviation == 0.0
     assert vec.slope == pytest.approx(0.0)
     assert vec.skewness == 0.0 and vec.kurtosis == 0.0 and vec.autocorrelation == 0.0
@@ -517,12 +528,13 @@ def test_constant_series_flagged_zeros():
 
 @pytest.mark.parametrize("n, config", [(29, RunConfig()), (39, RunConfig(min_series_len=40))])
 def test_series_below_min_series_len_raises_naming_the_setting(n, config):
-    with pytest.raises(CoinclustError, match=f"^fewer than min_series_len={config.min_series_len} rows$"):
-        compute_characteristics(make_series(np.full(n, 4.0)), config)
+    [reason] = compute_characteristics([make_series(np.full(n, 4.0))], config)
+    assert isinstance(reason, CoinclustError)
+    assert str(reason) == f"fewer than min_series_len={config.min_series_len} rows"
 
 
 def test_vector_matches_field_order():
-    vec = compute_characteristics(make_series(random_walk(400, seed=21, start=100.0)))
+    [vec] = compute_characteristics([make_series(random_walk(400, seed=21, start=100.0))])
     d = vec.as_dict()
     assert list(d) == list(COLUMNS)
     assert np.array_equal(vec.values(), np.array([d[c] for c in COLUMNS]))
@@ -530,7 +542,7 @@ def test_vector_matches_field_order():
 
 def test_vector_against_independent_reference():
     x = np.abs(random_walk(1_000, seed=31, start=50.0)) + 1.0
-    vec = compute_characteristics(make_series(x))
+    [vec] = compute_characteristics([make_series(x)])
     mean, sd, skew, kurt = moments_direct(x)
     assert vec.mean == pytest.approx(mean, rel=1e-8)
     assert vec.standard_deviation == pytest.approx(sd, rel=1e-8)
@@ -550,7 +562,8 @@ def test_vector_against_independent_reference():
 # --- invariances ----------------------------------------------------------------------
 
 def _vec(x):
-    return compute_characteristics(make_series(x))
+    [vec] = compute_characteristics([make_series(x)])
+    return vec
 
 
 def test_shift_equivariance():

@@ -40,6 +40,27 @@ def test_features_rerun_identical_bytes(tmp_path, snapshot_dir):
     assert (out1 / "features.price_usd.csv").read_bytes() == (out2 / "features.price_usd.csv").read_bytes()
 
 
+def test_feature_files_are_the_same_bytes_on_another_blas_kernel(tmp_path, snapshot_dir):
+    # OpenBLAS builds with DYNAMIC_ARCH pick their kernel from this variable;
+    # the features use no BLAS or LAPACK call, so no kernel changes a byte
+    written = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "default")
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from coinclust.cli import main; sys.exit(main())",
+             "features", "--data-dir", str(snapshot_dir), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        written.append({p.name: p.read_bytes() for p in sorted(out.glob("features.*.csv"))})
+    assert len(written[0]) == 3
+    assert written[0] == written[1]
+
+
 def test_unknown_metric_usage_error(tmp_path, snapshot_dir):
     with pytest.raises(SystemExit) as exc:
         run(["features", "--data-dir", str(snapshot_dir), "--metric", "volume", "--out", str(tmp_path)])
@@ -429,10 +450,14 @@ def test_estimator_flag_reaches_the_estimator(tmp_path, snapshot_dir, default_pr
                 flag, str(value), "--out", str(tmp_path)]) == 0
     got = _feature_column(tmp_path, column)
     assert got != _feature_column(default_price_features, column)
-    estimator = {"self_similarity": self_similarity_dfa, "chaos": chaos_lyapunov}[column]
     config = RunConfig(**{field: value})
     dataset = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
-    assert got == {coin: estimator(s.values, config) for coin, s in dataset.series.items()}
+    series = [s.values for s in dataset.series.values()]
+    if column == "self_similarity":
+        expected = self_similarity_dfa(series, config).tolist()
+    else:
+        expected = [chaos_lyapunov(x, config) for x in series]
+    assert got == dict(zip(dataset.series, expected))
 
 
 @pytest.mark.parametrize("delay, code", [(1000, 0), (2000, 1)])

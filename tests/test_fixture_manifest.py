@@ -30,7 +30,7 @@ def test_characteristics_match_manifest(manifest, snapshot_dir):
     entry = manifest["characteristics"]
     series = load_series(snapshot_dir / f"{entry['coin']}.{entry['metric']}.csv", Metric(entry["metric"]))
     assert len(series) == entry["n"]
-    vec = compute_characteristics(series)
+    [vec] = compute_characteristics([series])
     for key in ("mean", "standard_deviation", "skewness", "kurtosis"):
         assert getattr(vec, key) == pytest.approx(entry[key], rel=1e-12)
     for key, attr in [("minimum", "minimum"), ("VaR99", "var99"), ("VaR95", "var95"),

@@ -20,7 +20,8 @@ from coinclust.ingest import (
     source_url,
 )
 
-from coinclust.cli import main
+from coinclust.cli import build_datasets, main
+from coinclust.config import RunConfig
 
 
 def write_csv(path, rows, header="date,value"):
@@ -258,6 +259,22 @@ def test_build_dataset_reads_each_series_file_once(monkeypatch, snapshot_dir):
     series_reads = [name for name in reads if name.endswith(".csv")]
     assert len(series_reads) == len(set(series_reads)) == len(ds.series) == 18
     assert ds.fingerprints == expected
+
+
+def test_build_datasets_reads_the_profiles_once_per_dataset(monkeypatch, snapshot_dir):
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting(path):
+        reads.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    datasets, notes = build_datasets(RunConfig(data_dir=str(snapshot_dir)))
+    assert notes == [] and len(datasets) == 3
+    assert reads.count("profiles.txt") == 3
+    digest = hashlib.sha256(read_bytes(snapshot_dir / "profiles.txt")).hexdigest()
+    assert {ds.fingerprints["profiles.txt"] for ds in datasets.values()} == {digest}
 
 
 def test_build_dataset_missing_report(tmp_path):

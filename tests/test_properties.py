@@ -74,7 +74,39 @@ def test_dfa_equals_reference_loop_bit_for_bit(seed, n, decimals, min_window, fr
     assume(int(n * frac) > min_window)
     x = np.round(np.cumsum(np.random.default_rng(seed).standard_normal(n)), decimals)
     config = RunConfig(dfa_min_window=min_window, dfa_max_window_frac=frac)
-    assert self_similarity_dfa(x, config) == dfa_reference_loop(x, min_window, frac)
+    assert self_similarity_dfa([x], config)[0] == dfa_reference_loop(x, min_window, frac)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(100, 700), min_size=1, max_size=6),
+    min_window=st.integers(4, 40),
+    frac=st.floats(0.05, 0.5),
+)
+def test_a_coins_characteristics_do_not_depend_on_its_batch(seed, lengths, min_window, frac):
+    # the smallest window is at least int(100 * frac), so the grid of a
+    # 100-day coin fails while longer coins share some window sizes
+    config = RunConfig(dfa_min_window=max(min_window, int(100 * frac)), dfa_max_window_frac=frac)
+    rng = np.random.default_rng(seed)
+    values = [np.cumsum(rng.standard_normal(n)) for n in lengths]
+    short, constant, no_grid = rng.standard_normal(60), np.full(150, 2.5), np.cumsum(rng.standard_normal(100))
+    values += [short, constant, no_grid]
+    order = rng.permutation(len(values)).tolist()
+    batch = [make_series(values[i]) for i in order]
+    together = compute_characteristics(batch, config)
+    for series, got in zip(batch, together):
+        [alone] = compute_characteristics([series], config)
+        assert type(got) is type(alone)
+        if isinstance(alone, CoinclustError):
+            assert str(got) == str(alone)
+        else:
+            assert got.values().tobytes() == alone.values().tobytes()
+            assert got.flags == alone.flags
+    short, constant, no_grid = (together[order.index(i)] for i in range(len(lengths), len(values)))
+    assert str(short) == "self_similarity: need >= 100 observations, got 60"
+    assert constant.flags == ("zero_variance",)
+    assert str(no_grid).endswith("the largest window int(n * dfa_max_window_frac) must exceed dfa_min_window")
 
 
 @settings(deadline=None)
@@ -85,7 +117,7 @@ def test_constant_series_gives_the_flagged_row_and_the_degenerate_spectrum(level
     # np.mean rounds most levels (0.1 among them), so a test of the computed
     # standard deviation, or of the demeaned spectrum, misses such a series.
     series = make_series(np.full(n, level))
-    vec = compute_characteristics(series)
+    [vec] = compute_characteristics([series])
     assert vec.values().tolist() == [level, 0.0, 0.0, 0.0] + [level] * 7 + [0.0, level, 0.0, 0.0, 0.0]
     assert vec.flags == ("zero_variance",)
     spec = spectrum_feature(series, 40)
