@@ -143,40 +143,51 @@ def similarity_matrix(rows: np.ndarray, sigma: float | None = None) -> np.ndarra
     which duplicate rows do not pull to zero; only rows that are all
     identical raise ``DegenerateGeometryError``, whether or not sigma is
     given.  The diagonal is zero by the usual graph convention.  Squared
-    distances are direct differences, row i against rows j >= i, so memory
-    stays O(m^2 + m*D); the lower triangle is the mirror, (a - b)**2 being
-    (b - a)**2 exactly.  Each difference array takes the memory order of
-    ``rows``, which sets the order its rows are summed in.
+    distances are direct differences, row i against rows j >= i, mirrored
+    into column i, (a - b)**2 being (b - a)**2 exactly; each difference
+    array takes the memory order of ``rows``, which sets the order its rows
+    are summed in.  Beyond the m x m result, memory is a packed copy of the
+    upper triangle, m(m-1)/2 values, and one row's differences against the
+    rest, at most m x D.
     """
     x = np.asarray(rows, dtype=float)
     m = x.shape[0]
-    sq = np.empty((m, m))
+    s = np.empty((m, m))
+    upper = np.empty(m * (m - 1) // 2)
+    start = 0
     for i in range(m):
-        sq[i, i:] = ((x[i:] - x[i]) ** 2).sum(axis=1)
-    lower = np.tril_indices(m, k=-1)
-    sq[lower] = sq.T[lower]
-    if not sq.any():
+        row = ((x[i:] - x[i]) ** 2).sum(axis=1)
+        s[i, i:] = row
+        s[i:, i] = row
+        upper[start : start + m - 1 - i] = row[1:]
+        start += m - 1 - i
+    if not upper.any():
         raise DegenerateGeometryError("all pairwise distances are zero")
     if sigma is None:
-        dists = np.sqrt(sq[np.triu_indices(m, k=1)])
-        sigma = _median(dists[dists > 0.0])
+        upper = upper[upper > 0.0]
+        sigma = _median(upper, np.sqrt)
     # A sigma near its lower bound overflows the exponent to -inf, and
     # exp(-inf) = 0 is the right limit.
     with np.errstate(over="ignore"):
-        s = np.exp(-sq / (2.0 * sigma * sigma))
+        np.negative(s, out=s)
+        np.divide(s, 2.0 * sigma * sigma, out=s)
+        np.exp(s, out=s)
     np.fill_diagonal(s, 0.0)
     return s
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a non-empty 1-D array, value for value: the middle
-    order statistic, or (a + b) / 2 of the two middle ones.  Unlike
-    ``np.median`` it never imports ``numpy.ma``."""
+def _median(values: np.ndarray, f=None) -> float:
+    """``np.median(f(values))`` of a non-empty 1-D array for a
+    non-decreasing ``f`` (default: none), value for value: the middle order
+    statistic, or (a + b) / 2 of the two middle ones.  A non-decreasing f
+    keeps the order, so f is applied to those one or two values only.
+    Unlike ``np.median`` it never imports ``numpy.ma``."""
     half = values.size // 2
-    if values.size % 2:
-        return float(np.partition(values, half)[half])
-    low, high = np.partition(values, (half - 1, half))[half - 1 : half + 1]
-    return float((low + high) / 2)
+    kth = (half,) if values.size % 2 else (half - 1, half)
+    middle = np.partition(values, kth)[kth[0] : half + 1]
+    if f is not None:
+        middle = f(middle)
+    return float(middle.sum() / middle.size)
 
 
 def laplacian_eigendecomposition(similarity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,8 +195,11 @@ def laplacian_eigendecomposition(similarity: np.ndarray) -> tuple[np.ndarray, np
     Laplacian L = I - D^(-1/2) S D^(-1/2).
 
     Zero-degree nodes get unit self-similarity so their degree is defined.
+    L is built in place: a float ``similarity`` is overwritten (pass a copy
+    to keep it), and only its lower triangle, which ``np.linalg.eigh``
+    reads, is symmetrized.
     """
-    s = np.array(similarity, dtype=float)
+    s = np.asarray(similarity, dtype=float)
     m = s.shape[0]
     deg = s.sum(axis=1)
     isolated = deg <= 0.0
@@ -193,10 +207,18 @@ def laplacian_eigendecomposition(similarity: np.ndarray) -> tuple[np.ndarray, np
         s[isolated, isolated] = 1.0
         deg = s.sum(axis=1)
     inv_root = 1.0 / np.sqrt(deg)
-    lap = np.eye(m) - inv_root[:, None] * s * inv_root[None, :]
-    lap = 0.5 * (lap + lap.T)
+    s *= inv_root[:, None]
+    s *= inv_root
+    diagonal = 1.0 - np.diagonal(s)
+    # 0 - x, not -x, so that an off-diagonal zero stays +0.0 as in I - x
+    np.subtract(0.0, s, out=s)
+    np.fill_diagonal(s, diagonal)
+    for i in range(1, m):
+        lower = s[i, :i]
+        np.add(lower, s[:i, i], out=lower)
+        lower *= 0.5
     try:
-        return np.linalg.eigh(lap)
+        return np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         raise CoinclustError(str(exc)) from exc
 

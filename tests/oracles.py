@@ -323,6 +323,23 @@ def laplacian_eig_dense(similarity, k):
     return vals.real[order][:k], vecs.real[:, order[:k]]
 
 
+def laplacian_eigh_reference(similarity):
+    """The normalized-Laplacian eigendecomposition with every m x m step
+    out of place, on a copy: the arithmetic the in-place build must equal
+    bit for bit."""
+    s = np.array(similarity, dtype=float)
+    m = s.shape[0]
+    deg = s.sum(axis=1)
+    isolated = deg <= 0.0
+    if np.any(isolated):
+        s[isolated, isolated] = 1.0
+        deg = s.sum(axis=1)
+    r = 1.0 / np.sqrt(deg)
+    lap = np.eye(m) - r[:, None] * s * r[None, :]
+    lap = 0.5 * (lap + lap.T)
+    return np.linalg.eigh(lap)
+
+
 def _canonical_partitions(m, k):
     """All surjective labelings of m points onto k clusters, first-occurrence
     canonical (point 0 in cluster 0, new clusters introduced in order)."""

@@ -160,7 +160,7 @@ def test_criterion_5_spectral_pipeline_oracle():
         k = int(rng.integers(2, 4))
         rows = rng.standard_normal((m, 4))
         sim = similarity_matrix(rows)
-        eigvals, eigvecs = laplacian_eigendecomposition(sim)
+        eigvals, eigvecs = laplacian_eigendecomposition(sim.copy())
         ovals, ovecs = laplacian_eig_dense(sim, k)
         p_lib = eigvecs[:, :k] @ eigvecs[:, :k].T
         p_oracle = ovecs @ np.linalg.pinv(ovecs)

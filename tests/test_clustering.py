@@ -22,8 +22,8 @@ from coinclust.ingest import Dataset, Metric, build_dataset
 
 from conftest import make_series, random_walk
 from oracles import (
-    co_membership, kmeans_exhaustive, kmeans_single_mean_loop, laplacian_eig_dense, similarity_double_loop,
-    similarity_row_loop,
+    co_membership, kmeans_exhaustive, kmeans_single_mean_loop, laplacian_eig_dense, laplacian_eigh_reference,
+    similarity_double_loop, similarity_row_loop,
 )
 
 
@@ -136,6 +136,20 @@ def test_similarity_upper_triangle_equals_the_row_loop_bit_for_bit(m, dims, sigm
     assert similarity_matrix(x, sigma).tobytes() == similarity_row_loop(x, sigma).tobytes()
 
 
+def test_similarity_peaks_below_three_results():
+    # The result, a packed copy of its upper triangle (half a result) and
+    # one row's 600 x 216 differences: about 2.1 results.  An index-pair
+    # array or an out-of-place step of exp adds a whole result.
+    x = np.asfortranarray(np.random.default_rng(22).standard_normal((600, 216)))
+    tracemalloc.start()
+    try:
+        s = similarity_matrix(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * s.nbytes
+
+
 def test_similarity_degenerate():
     with pytest.raises(DegenerateGeometryError, match="^all pairwise distances are zero$"):
         similarity_matrix(np.ones((4, 3)))
@@ -151,6 +165,58 @@ def test_tiny_sigma_gives_zero_similarity_without_a_warning():
     # exp gives 0; a RuntimeWarning fails the test (pyproject.toml filterwarnings).
     s = similarity_matrix(np.array([[0.0], [1.0], [3.0]]), sigma=1e-160)
     assert np.array_equal(s, np.zeros((3, 3)))
+
+
+# --- Laplacian ---------------------------------------------------------------------
+
+def assert_eigh_equals_reference(s):
+    ref_vals, ref_vecs = laplacian_eigh_reference(s)
+    vals, vecs = laplacian_eigendecomposition(s)  # overwrites s, which the reference copied
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+@pytest.mark.parametrize("m", [4, 61, 300, 600])
+@pytest.mark.parametrize("order", ["C", "F"])  # standardize returns F order
+def test_laplacian_equals_the_out_of_place_reference_bit_for_bit(m, order):
+    x = np.asarray(np.random.default_rng(m).standard_normal((m, 216)), order=order)
+    assert_eigh_equals_reference(similarity_matrix(x))
+
+
+def test_laplacian_with_an_isolated_node_equals_the_reference_bit_for_bit():
+    x = np.random.default_rng(7).standard_normal((9, 3))
+    x[4] += 100.0  # exp(-d^2 / 2) underflows to 0 against every other row
+    s = similarity_matrix(x, sigma=1.0)
+    assert np.flatnonzero(s.sum(axis=1) == 0.0).tolist() == [4]
+    assert_eigh_equals_reference(s)
+
+
+def test_laplacian_with_every_node_isolated_equals_the_reference_bit_for_bit():
+    s = similarity_matrix(np.random.default_rng(8).standard_normal((8, 3)), sigma=1e-160)
+    assert not s.any()
+    assert_eigh_equals_reference(s)
+
+
+def test_laplacian_overwrites_the_callers_similarity():
+    s = similarity_matrix(np.random.default_rng(9).standard_normal((12, 3)))
+    kept = s.copy()
+    vals, _ = laplacian_eigendecomposition(s)
+    assert not np.array_equal(s, kept)
+    assert vals.tobytes() == laplacian_eigh_reference(kept)[0].tobytes()
+
+
+def test_laplacian_peaks_at_its_eigenvectors():
+    # eigh's own buffers are not traced; every m x m step beyond them is
+    # in place, so the traced peak is the eigenvector output.
+    s = similarity_matrix(np.random.default_rng(10).standard_normal((600, 216)))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        laplacian_eigendecomposition(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 1.1 * s.nbytes
 
 
 # --- spectral embedding ----------------------------------------------------------
@@ -189,7 +255,7 @@ def test_embed_matches_dense_oracle_subspace(seed):
     rows = rng.standard_normal((8, 3))
     s = similarity_matrix(rows)
     k = 3
-    eigvals, eigvecs = laplacian_eigendecomposition(s)
+    eigvals, eigvecs = laplacian_eigendecomposition(s.copy())
     ovals, ovecs = laplacian_eig_dense(s, k)
     assert np.allclose(eigvals[:k], ovals, atol=1e-8)
     # subspace comparison is projector comparison: immune to sign flips and

@@ -60,6 +60,27 @@ def test_quantiles_and_median_equal_numpy(x):
     assert _median(x) == np.median(x)
 
 
+_SQUARES = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+        st.sampled_from([0.25, 2.0, 3.0]),  # ties
+    ),
+    min_size=1,
+    max_size=60,
+).map(np.array)
+
+
+@settings(deadline=None, max_examples=400)
+@given(squares=_SQUARES, next_up=st.booleans())
+@example(squares=np.array([2.0]), next_up=True)  # sqrt(2) and sqrt(2 + ulp) are one float
+def test_median_of_roots_roots_only_the_middle_squares_bit_for_bit(squares, next_up):
+    # similarity_matrix's sigma: the median distance, from the squared ones
+    if next_up:  # neighbours whose square roots round together
+        squares = np.concatenate([squares, np.nextafter(squares, np.inf)])
+    for values in (squares, squares[1:]) if squares.size > 1 else (squares,):  # even and odd counts
+        assert _median(values, np.sqrt).hex() == float(np.median(np.sqrt(values))).hex()
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     seed=st.integers(0, 2**32 - 1),
