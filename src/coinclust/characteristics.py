@@ -234,8 +234,8 @@ def dfa_window_sizes(n: int, config: RunConfig) -> tuple[int, ...]:
     return sizes
 
 
-# Cap, in floats, on each array one step of the fluctuation analysis or of
-# the neighbour screen allocates; only a single longer series exceeds it.
+# Cap, in floats, on each array one step of the neighbour screen
+# (``_screen_rows``) allocates; only a single longer orbit exceeds it.
 BLOCK_FLOATS = 2**16
 
 
@@ -254,45 +254,29 @@ def self_similarity_dfa(batch, config: RunConfig | None = None) -> np.ndarray:
     Values near 0.5 indicate uncorrelated increments, near 1.5 a random
     walk; a pure deterministic trend saturates the estimator near 2.
 
-    Arithmetic.  The series are taken in blocks of consecutive series whose
-    profiles total at most ``BLOCK_FLOATS`` values.  For each window size,
-    the windows of every series of the block that uses it are stacked as
-    rows, and each row is reduced on its own with ``np.add.reduce(axis=1)``:
-    the window mean sum(w) / s, the slope sum(r * tc) / (s(s^2 - 1) / 12)
-    of the demeaned window r on the centred times tc = t - (s - 1) / 2,
-    and the sum of the squared residuals.  A series' F^2(s) is its first
-    row's sum plus the ``np.add.reduce`` of its other rows' sums (the order
-    of ``np.add.reduceat``), over the number of values in its windows.  So
-    no exponent depends on the other series in the batch, and none on the
-    BLAS kernel.
+    Arithmetic.  Each window size is visited once for the whole batch: the
+    windows of every series that uses it are stacked as rows, and each row
+    is reduced on its own with ``np.add.reduce(axis=1)``: the window mean
+    sum(w) / s, the slope sum(r * tc) / (s(s^2 - 1) / 12) of the demeaned
+    window r on the centred times tc = t - (s - 1) / 2, and the sum of the
+    squared residuals.  A series' F^2(s) is its first row's sum plus the
+    ``np.add.reduce`` of its other rows' sums (the order of
+    ``np.add.reduceat``), over the number of values in its windows.  So no
+    exponent depends on the other series in the batch, and none on the BLAS
+    kernel.  Memory is linear in the batch's N values: the profiles, the
+    windows and their products (N floats each) and two N / s row sums at
+    the smallest size s, about 3.5N floats at the default s = 4.
     """
     cfg = config or RunConfig()
     xs = [np.asarray(values, dtype=float) for values in batch]
-    sizes = [dfa_window_sizes(x.size, cfg) for x in xs]
-    exponents = np.empty(len(xs))
-    centred: dict[int, np.ndarray] = {}
-    start = 0
-    while start < len(xs):
-        stop, total = start + 1, xs[start].size
-        while stop < len(xs) and total + xs[stop].size <= BLOCK_FLOATS:
-            total += xs[stop].size
-            stop += 1
-        exponents[start:stop] = _dfa_block(xs[start:stop], sizes[start:stop], centred)
-        start = stop
-    return exponents
-
-
-def _dfa_block(xs: list[np.ndarray], sizes: list[tuple[int, ...]], centred: dict) -> np.ndarray:
-    """``self_similarity_dfa`` of one block of series; ``centred`` caches
-    the centred times of each window size across blocks."""
     offsets = np.cumsum([0] + [x.size for x in xs]).tolist()
+    users: dict[int, list[int]] = {}
+    for i, x in enumerate(xs):
+        for s in dfa_window_sizes(x.size, cfg):
+            users.setdefault(s, []).append(i)
     profile = np.empty(offsets[-1])
     for x, at in zip(xs, offsets):
         np.cumsum(x - np.mean(x), out=profile[at : at + x.size])
-    users: dict[int, list[int]] = {}
-    for i, coin_sizes in enumerate(sizes):
-        for s in coin_sizes:
-            users.setdefault(s, []).append(i)
     scales = sorted(users)
     f2 = np.zeros((len(xs), len(scales)))
     windows, work = np.empty(profile.size), np.empty(profile.size)
@@ -303,9 +287,7 @@ def _dfa_block(xs: list[np.ndarray], sizes: list[tuple[int, ...]], centred: dict
         np.concatenate([profile[offsets[i] : offsets[i] + c * s] for i, c in zip(coins, counts)], out=seg)
         seg = seg.reshape(-1, s)
         prod = work[: seg.size].reshape(-1, s)
-        if s not in centred:
-            centred[s] = np.arange(s) - (s - 1) / 2
-        tc = centred[s]
+        tc = np.arange(s) - (s - 1) / 2
         # exact: sum(tc * tc) == s(s^2 - 1)/12, and add.reduce / count is np.mean's arithmetic
         seg -= np.add.reduce(seg, axis=1, keepdims=True) / s
         np.multiply(seg, tc, out=prod)

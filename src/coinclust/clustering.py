@@ -165,7 +165,7 @@ def similarity_matrix(rows: np.ndarray, sigma: float | None = None) -> np.ndarra
         raise DegenerateGeometryError("all pairwise distances are zero")
     if sigma is None:
         upper = upper[upper > 0.0]
-        sigma = _median(upper, np.sqrt)
+        sigma = _median_root(upper)
     # A sigma near its lower bound overflows the exponent to -inf, and
     # exp(-inf) = 0 is the right limit.
     with np.errstate(over="ignore"):
@@ -176,17 +176,15 @@ def similarity_matrix(rows: np.ndarray, sigma: float | None = None) -> np.ndarra
     return s
 
 
-def _median(values: np.ndarray, f=None) -> float:
-    """``np.median(f(values))`` of a non-empty 1-D array for a
-    non-decreasing ``f`` (default: none), value for value: the middle order
-    statistic, or (a + b) / 2 of the two middle ones.  A non-decreasing f
-    keeps the order, so f is applied to those one or two values only.
-    Unlike ``np.median`` it never imports ``numpy.ma``."""
-    half = values.size // 2
-    kth = (half,) if values.size % 2 else (half - 1, half)
-    middle = np.partition(values, kth)[kth[0] : half + 1]
-    if f is not None:
-        middle = f(middle)
+def _median_root(squares: np.ndarray) -> float:
+    """``np.median(np.sqrt(squares))`` of a non-empty 1-D array of
+    non-negative values, value for value: the middle order statistic, or
+    (a + b) / 2 of the two middle ones.  ``sqrt`` keeps the order, so it is
+    applied to those one or two values only.  Unlike ``np.median`` it never
+    imports ``numpy.ma``."""
+    half = squares.size // 2
+    kth = (half,) if squares.size % 2 else (half - 1, half)
+    middle = np.sqrt(np.partition(squares, kth)[kth[0] : half + 1])
     return float(middle.sum() / middle.size)
 
 

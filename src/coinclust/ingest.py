@@ -206,7 +206,7 @@ _COLUMNS = np.arange(11)[:, None]
 # Byte bounds of the first 11 columns of a plain row
 _LOW = np.frombuffer(b"0000-00-00,", dtype=np.uint8)[:, None]
 _HIGH = np.frombuffer(b"9999-19-39,", dtype=np.uint8)[:, None]
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0, 0, 0, 0, 0, 0, 0])  # months 0-19
+_FIRST_DAY = np.datetime64("0001-01-01")  # numpy has a year 0; date.fromisoformat has not
 
 
 def _plain_values(text: str, metric: Metric) -> np.ndarray | None:
@@ -215,13 +215,13 @@ def _plain_values(text: str, metric: Metric) -> np.ndarray | None:
     A plain file is ASCII with no ``"`` and no CR: the header line is
     exactly ``date,value``, no line is blank, and every other line is
     ``YYYY-MM-DD,<value>`` with its only comma in column 11 and at most
-    ``csv.field_size_limit()`` characters.  Its dates are real calendar
-    dates with year >= 1 that strictly increase, and its values (parsed by
-    ``float``, as the row loop parses them) are finite with the metric's
-    sign.  On such a file the CSV reader sees two fields per line and the
-    row loop keeps every row, so both routes give the same values; any
-    other file, including every one that drops a row or raises, returns
-    None and goes through the row loop.
+    ``csv.field_size_limit()`` characters.  Its dates, real calendar dates
+    by numpy's ``datetime64[D]`` from year 1 on, strictly increase, and its
+    values (parsed by ``float``, as the row loop parses them) are finite
+    with the metric's sign.  On such a file the CSV reader sees two fields
+    per line and the row loop keeps every row, so both routes give the same
+    values; any other file, including every one that drops a row or raises,
+    returns None and goes through the row loop.
     """
     if not text.startswith(_PLAIN_HEADER) or not text.isascii():
         return None
@@ -244,19 +244,15 @@ def _plain_values(text: str, metric: Metric) -> np.ndarray | None:
     head = buf[starts + _COLUMNS]  # head[j]: column j + 1 of every row
     if ((head < _LOW) | (head > _HIGH)).any():
         return None
-    d = head.astype(np.intp) - ord("0")
-    year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3]
-    month = d[5] * 10 + d[6]
-    day = d[8] * 10 + d[9]
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    if ((year < 1) | (day < 1) | (day > _MONTH_DAYS[month] + (leap & (month == 2)))).any():
-        return None
-    key = (year * 12 + month) * 31 + day
-    if (key[1:] <= key[:-1]).any():
-        return None
+    # ["", date, value, ..., date, value, ""]: numpy parses an empty string
+    # as NaT, which no comparison catches, so the dates leave out both ends
+    fields = body.replace("\n", ",").split(",")
     try:
-        values = np.fromiter(map(float, body.replace("\n", ",").split(",")[2::2]), float, starts.size)
+        days = np.array(fields[1:-1:2], dtype="datetime64[D]")
+        values = np.fromiter(map(float, fields[2::2]), float, starts.size)
     except ValueError:
+        return None
+    if days[0] < _FIRST_DAY or (days[1:] <= days[:-1]).any():
         return None
     if not np.isfinite(values).all():
         return None

@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,15 @@ FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 def make_series(values):
     return Series(values)
+
+
+def benchmark_files(workload: str, seed: int = 301) -> dict[str, bytes]:
+    """The files of a synthetic benchmark set, made read-only by ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    files, _ = workloads.synthesize(workloads.load_generator(REPO_ROOT), workload, seed)
+    return files
 
 
 def random_walk(n, seed, scale=1.0, start=0.0):

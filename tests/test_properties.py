@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import tempfile
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from coinclust.characteristics import (
     QUANTILE_LEVELS, compute_characteristics, nearest_outside_window, quantiles, self_similarity_dfa,
 )
-from coinclust.clustering import _median
+from coinclust.clustering import _median_root
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
 from coinclust.ingest import (
@@ -25,7 +26,7 @@ from coinclust.ingest import (
 from coinclust.report import report_run
 from coinclust.spectrum import spectrum_feature
 
-from conftest import REPO_ROOT, SNAPSHOT_DIR, make_series
+from conftest import REPO_ROOT, SNAPSHOT_DIR, benchmark_files, make_series
 from oracles import dfa_reference_loop, nearest_outside_window_naive
 
 
@@ -57,7 +58,6 @@ _SAMPLES = st.one_of(
 @example(x=np.array([1.0, 4.0]))
 def test_quantiles_and_median_equal_numpy(x):
     assert np.array(quantiles(x)).tolist() == np.quantile(x, QUANTILE_LEVELS, method="linear").tolist()
-    assert _median(x) == np.median(x)
 
 
 _SQUARES = st.lists(
@@ -78,7 +78,7 @@ def test_median_of_roots_roots_only_the_middle_squares_bit_for_bit(squares, next
     if next_up:  # neighbours whose square roots round together
         squares = np.concatenate([squares, np.nextafter(squares, np.inf)])
     for values in (squares, squares[1:]) if squares.size > 1 else (squares,):  # even and odd counts
-        assert _median(values, np.sqrt).hex() == float(np.median(np.sqrt(values))).hex()
+        assert _median_root(values).hex() == float(np.median(np.sqrt(values))).hex()
 
 
 @settings(deadline=None, max_examples=50)
@@ -96,6 +96,21 @@ def test_dfa_equals_reference_loop_bit_for_bit(seed, n, decimals, min_window, fr
     x = np.round(np.cumsum(np.random.default_rng(seed).standard_normal(n)), decimals)
     config = RunConfig(dfa_min_window=min_window, dfa_max_window_frac=frac)
     assert self_similarity_dfa([x], config)[0] == dfa_reference_loop(x, min_window, frac)
+
+
+def test_dfa_of_a_batch_larger_than_2_16_floats_is_each_series_alone_in_linear_memory():
+    files = benchmark_files("wide")
+    batch = [_plain_values(data.decode(), Metric.PRICE) for name, data in files.items() if name.endswith(".csv")]
+    values = sum(x.size for x in batch)
+    assert len(batch) == 600 and values > 2**16
+    tracemalloc.start()
+    try:
+        together = self_similarity_dfa(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * values  # four float arrays of the batch's values
+    assert together.tolist() == [self_similarity_dfa([x])[0] for x in batch]
 
 
 @settings(deadline=None, max_examples=30)
@@ -237,6 +252,23 @@ def test_a_well_formed_stamp_that_is_not_a_date_is_not_plain(stamp):
     assert _plain_values(text, Metric.PRICE) is None
     with pytest.raises(CoinclustError, match=r"^x\.csv:2: bad date"):
         _row_series(Path("x.csv"), text, Metric.PRICE)
+
+
+@pytest.mark.parametrize("year", ["0000", "0001", "1900", "2000", "2019", "2100", "9999"])
+def test_a_plain_date_is_a_calendar_date_over_the_whole_byte_range(year):
+    # every month 00-19 and day 00-39 the byte check of _plain_values lets through
+    for month in range(20):
+        for day in range(40):
+            stamp = f"{year}-{month:02d}-{day:02d}"
+            try:
+                real = date.fromisoformat(stamp).year >= 1
+            except ValueError:
+                real = False
+            text = f"date,value\n{stamp},1.5\n"
+            plain = _plain_values(text, Metric.PRICE)
+            assert (plain is not None) == real, stamp
+            if real:
+                assert _row_series(Path("x.csv"), text, Metric.PRICE).values.tobytes() == plain.tobytes()
 
 
 def test_every_shipped_and_benchmark_series_file_takes_the_array_route():
