@@ -4,14 +4,13 @@ Sixteen global measures summarise one series: four moments, seven order
 statistics (including the 1% / 5% downside quantiles of the level series),
 a linear trend, the lag-1 autocorrelation, a fluctuation-analysis
 self-similarity exponent, and a largest-divergence-rate (chaos) estimate.
-The flattened ordering of the sixteen fields is fixed by ``COLUMNS`` and is
-part of the clustering contract.
+A series' characteristics are one float row, in the order ``COLUMNS``
+fixes; that order is part of the clustering contract.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,8 +19,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import CoinclustError
 
-# Flattened feature order; names double as CSV/JSON column labels.  The
-# CharacteristicVector attribute of each column is its lower-cased name.
+# Feature order of a characteristics row; names double as CSV/JSON column labels.
 COLUMNS = (
     "mean",
     "standard_deviation",
@@ -71,41 +69,6 @@ class Quantiles(NamedTuple):
     median: float
     upperquant: float
     maximum: float
-
-
-@dataclass
-class CharacteristicVector:
-    """The sixteen named characteristics of one series.
-
-    The ``intercept`` field is the first observed value of the series, not
-    the fitted regression intercept.
-    """
-
-    mean: float
-    standard_deviation: float
-    skewness: float
-    kurtosis: float
-    maximum: float
-    minimum: float
-    lowerquant: float
-    median: float
-    upperquant: float
-    var99: float
-    var95: float
-    slope: float
-    intercept: float
-    autocorrelation: float
-    self_similarity: float
-    chaos: float
-    flags: tuple[str, ...] = field(default=())
-
-    def values(self) -> np.ndarray:
-        """The sixteen fields as a vector, in ``COLUMNS`` order."""
-        return np.array([getattr(self, c.lower()) for c in COLUMNS], dtype=float)
-
-    def as_dict(self) -> dict[str, float]:
-        """The sixteen fields keyed by their column names."""
-        return {c: float(getattr(self, c.lower())) for c in COLUMNS}
 
 
 def moments(values) -> Moments:
@@ -606,29 +569,25 @@ def chaos_lyapunov(values, config: RunConfig | None = None) -> float:
     return line_slope(kfit, y)
 
 
-# Exponent above which the fluctuation analysis is pinned at its
-# deterministic-trend ceiling rather than measuring scaling.
-DFA_SATURATION = 1.9
+def compute_characteristics(series, config: RunConfig | None = None) -> list[np.ndarray | CoinclustError]:
+    """The sixteen characteristics of each of a metric's series, as rows.
 
-
-def compute_characteristics(series, config: RunConfig | None = None) -> list[CharacteristicVector | CoinclustError]:
-    """All sixteen characteristics of each of a metric's series.
-
-    Returns one entry per series, in order: its vector, or the
-    ``CoinclustError`` that excludes it.  This is where a series is judged
-    usable.  Fewer than ``min_series_len`` values exclude it.  A constant
-    series (``np.ptp == 0``, exact at every level) gets, before any
-    estimator runs, the level as its mean, order statistics and intercept,
-    exactly 0.0 in the seven other fields and the flag ``zero_variance``.
-    Other series go through every estimator, and the first floor that one
-    of them fails excludes the series, its message starting with the field
-    name; the fluctuation analysis' length and window grid come before the
-    divergence rate.  The self-similarity exponents of the series that pass
-    come from one ``self_similarity_dfa`` call, which computes each from
-    that series alone.
+    Returns one entry per series, in order: its float row in ``COLUMNS``
+    order, or the ``CoinclustError`` that excludes it.  This is where a
+    series is judged usable.  Fewer than ``min_series_len`` values exclude
+    it.  A constant series (``np.ptp == 0``, exact at every level) gets,
+    before any estimator runs, the level as its mean, order statistics and
+    intercept, and exactly 0.0 in the seven other columns.  Other series go
+    through every estimator, and the first floor that one of them fails
+    excludes the series, its message starting with the field name; the
+    fluctuation analysis' length and window grid come before the divergence
+    rate.  The ``intercept`` column is the first observed value, not the
+    fitted regression intercept.  The self-similarity exponents of the
+    series that pass come from one ``self_similarity_dfa`` call, which
+    computes each from that series alone.
     """
     cfg = config or RunConfig()
-    results: list[CharacteristicVector | CoinclustError] = []
+    results: list[np.ndarray | CoinclustError] = []
     pending: list[tuple[int, np.ndarray]] = []  # (position, values) awaiting the DFA exponent
     for item in series:
         values = np.asarray(item.values, dtype=float)
@@ -637,10 +596,7 @@ def compute_characteristics(series, config: RunConfig | None = None) -> list[Cha
             continue
         if np.ptp(values) == 0.0:
             level = float(values[0])
-            results.append(CharacteristicVector(
-                level, 0.0, 0.0, 0.0, *[level] * 7, slope=0.0, intercept=level,
-                autocorrelation=0.0, self_similarity=0.0, chaos=0.0, flags=("zero_variance",),
-            ))
+            results.append(np.array([level, 0.0, 0.0, 0.0] + [level] * 7 + [0.0, level, 0.0, 0.0, 0.0]))
             continue
         try:
             mom = moments(values)
@@ -653,27 +609,11 @@ def compute_characteristics(series, config: RunConfig | None = None) -> list[Cha
             results.append(exc)
             continue
         pending.append((len(results), values))
-        results.append(CharacteristicVector(
-            mean=mom.mean,
-            standard_deviation=mom.standard_deviation,
-            skewness=mom.skewness,
-            kurtosis=mom.kurtosis,
-            maximum=q.maximum,
-            minimum=q.minimum,
-            lowerquant=q.lowerquant,
-            median=q.median,
-            upperquant=q.upperquant,
-            var99=q.var99,
-            var95=q.var95,
-            slope=slope,
-            intercept=float(values[0]),
-            autocorrelation=acf,
-            self_similarity=np.nan,  # set below, from the one batch
-            chaos=lyap,
-        ))
+        results.append(np.array([
+            *mom, q.maximum, q.minimum, q.lowerquant, q.median, q.upperquant, q.var99, q.var95,
+            slope, values[0], acf, np.nan, lyap,  # self_similarity is set below, from the one batch
+        ]))
     exponents = self_similarity_dfa([values for _, values in pending], cfg)
-    for (at, _), dfa in zip(pending, exponents.tolist()):
-        results[at].self_similarity = dfa
-        if dfa >= DFA_SATURATION:
-            results[at].flags = ("dfa_saturated",)
+    for (at, _), dfa in zip(pending, exponents):
+        results[at][COLUMNS.index("self_similarity")] = dfa
     return results

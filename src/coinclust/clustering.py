@@ -35,7 +35,6 @@ class FeatureMatrix:
     metric: str = ""
     dropped_columns: list[str] = field(default_factory=list)
     excluded: dict[str, str] = field(default_factory=dict)
-    coin_flags: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 @dataclass
@@ -83,23 +82,19 @@ def assemble_features(dataset: Dataset, config: RunConfig | None = None) -> Feat
     coin_ids: list[str] = []
     rows: list[np.ndarray] = []
     excluded: dict[str, str] = {}
-    coin_flags: dict[str, tuple[str, ...]] = {}
     coins = dataset.coin_ids()
-    vectors = compute_characteristics([dataset.series[c] for c in coins], cfg)
-    for coin_id, vec in zip(coins, vectors):
-        if isinstance(vec, CoinclustError):
-            excluded[coin_id] = str(vec)
+    characteristics = compute_characteristics([dataset.series[c] for c in coins], cfg)
+    for coin_id, row in zip(coins, characteristics):
+        if isinstance(row, CoinclustError):
+            excluded[coin_id] = str(row)
             continue
         try:
-            spec = spectrum_feature(dataset.series[coin_id], cfg.spectrum_bins)
+            bins = spectrum_feature(dataset.series[coin_id], cfg.spectrum_bins)
         except CoinclustError as exc:
             excluded[coin_id] = str(exc)
             continue
-        flags = vec.flags + (("zero_signal",) if spec.degenerate else ())
-        if flags:
-            coin_flags[coin_id] = flags
         coin_ids.append(coin_id)
-        rows.append(np.concatenate([vec.values(), spec.bins]))
+        rows.append(np.concatenate([row, bins]))
     if not rows:
         coins_by_reason: dict[str, list[str]] = {}
         for coin_id, reason in excluded.items():
@@ -112,7 +107,6 @@ def assemble_features(dataset: Dataset, config: RunConfig | None = None) -> Feat
         column_names=list(COLUMNS) + bin_names(cfg.spectrum_bins),
         metric=dataset.metric.value,
         excluded=excluded,
-        coin_flags=coin_flags,
     )
 
 

@@ -17,6 +17,7 @@ import enum
 import hashlib
 import io
 import math
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
@@ -264,6 +265,8 @@ def _plain_values(text: str, metric: Metric) -> np.ndarray | None:
 # has no default.
 _PROFILE_KEYS = tuple(f.name for f in fields(MechanismProfile))
 _REQUIRED_KEYS = tuple(f.name for f in fields(MechanismProfile) if f.default is MISSING)
+# A coin id names files and is written unquoted into CSV, SVG and Markdown.
+_COIN_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def _profile_from_block(block: dict[str, str], lines: dict[str, int], source: str) -> MechanismProfile:
@@ -284,6 +287,10 @@ def _profile_from_block(block: dict[str, str], lines: dict[str, int], source: st
     unknown = [key for key in block if key not in _PROFILE_KEYS]
     if unknown:
         raise CoinclustError(f"{at(unknown[0])}: unknown profile keys {sorted(unknown)}")
+    if not _COIN_ID.fullmatch(coin):
+        raise CoinclustError(
+            f"{source}:{lines['coin_id']}: coin_id={coin!r} may use only ASCII letters, digits, '_', '-' and '.'"
+        )
 
     def optional(key):
         tok = block.get(key, "none")

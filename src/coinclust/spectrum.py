@@ -10,21 +10,11 @@ reads as the fraction of variance explained by its frequency band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CoinclustError
 
 DEFAULT_BINS = 200
-
-
-@dataclass
-class PowerSpectrum:
-    """Normalized power at the K frequencies 0.5 * j / K, j = 1..K (implied by K)."""
-
-    bins: np.ndarray
-    degenerate: bool = False  # zero signal: bins are the uniform fallback
 
 
 def bin_names(k: int = DEFAULT_BINS) -> list[str]:
@@ -50,13 +40,13 @@ def periodogram(values) -> tuple[np.ndarray, np.ndarray]:
     return freqs, power
 
 
-def resample_spectrum(frequencies, raw_power, k: int = DEFAULT_BINS) -> PowerSpectrum:
+def resample_spectrum(frequencies, raw_power, k: int = DEFAULT_BINS) -> np.ndarray:
     """Interpolate normalized power onto K evenly spaced frequencies.
 
-    The target grid is nu_j = 0.5 * j / K for j = 1..K.  Target points
-    outside the source frequency range take the nearest endpoint value.
-    A zero-power input (constant signal) yields uniform bins with
-    ``degenerate=True`` so downstream stages never see NaNs.
+    Returns the K bins, the normalized power at nu_j = 0.5 * j / K for
+    j = 1..K.  Target points outside the source frequency range take the
+    nearest endpoint value.  A zero-power input (constant signal) yields
+    the uniform bins 1 / K, so downstream stages never see NaNs.
     """
     freqs = np.asarray(frequencies, dtype=float)
     power = np.asarray(raw_power, dtype=float)
@@ -66,16 +56,16 @@ def resample_spectrum(frequencies, raw_power, k: int = DEFAULT_BINS) -> PowerSpe
         raise ValueError("need at least 2 bins")
     total = power.sum()
     if total <= 0.0:
-        return PowerSpectrum(np.full(k, 1.0 / k), degenerate=True)
+        return np.full(k, 1.0 / k)
     grid = 0.5 * np.arange(1, k + 1, dtype=float) / k
     interp = np.interp(grid, freqs, power / total)
     s = interp.sum()
     if s <= 0.0:
-        return PowerSpectrum(np.full(k, 1.0 / k), degenerate=True)
-    return PowerSpectrum(interp / s)
+        return np.full(k, 1.0 / k)
+    return interp / s
 
 
-def spectrum_feature(series, k: int = DEFAULT_BINS) -> PowerSpectrum:
-    """Fixed-length spectral feature block of one series."""
+def spectrum_feature(series, k: int = DEFAULT_BINS) -> np.ndarray:
+    """Fixed-length spectral feature block of one series: its K bins."""
     freqs, power = periodogram(series.values)
     return resample_spectrum(freqs, power, k)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coinclust.characteristics import COLUMNS, compute_characteristics
 from coinclust.ingest import Series
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -13,6 +14,12 @@ FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 def make_series(values):
     return Series(values)
+
+
+def characteristics_of(values) -> dict[str, float]:
+    """The characteristics row of one series, keyed by its ``COLUMNS`` names."""
+    [row] = compute_characteristics([make_series(values)])
+    return dict(zip(COLUMNS, row.tolist()))
 
 
 def benchmark_files(workload: str, seed: int = 301) -> dict[str, bytes]:

@@ -147,8 +147,8 @@ def test_criterion_4_fft_correctness():
     # normalization
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        spec = resample_spectrum(*periodogram(rng.standard_normal(300)), 200)
-        assert abs(spec.bins.sum() - 1.0) < 1e-12
+        bins = resample_spectrum(*periodogram(rng.standard_normal(300)), 200)
+        assert abs(bins.sum() - 1.0) < 1e-12
     _finish(4, "fft periodogram matches transform-matrix oracle", t0, 20)
 
 

@@ -28,7 +28,7 @@ from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
 from coinclust.ingest import Metric, build_dataset
 
-from conftest import make_series, random_walk, white_noise
+from conftest import characteristics_of, make_series, random_walk, white_noise
 from oracles import (
     acf1_direct,
     dfa_naive,
@@ -112,16 +112,16 @@ def test_quantile_ordering_invariant():
 def test_trend_exact_line():
     slope, intercept = ols_line([2, 4, 6, 8])
     assert (slope, intercept) == (pytest.approx(2.0), pytest.approx(2.0))
-    [vec] = compute_characteristics([make_series(3.0 + 2.0 * np.arange(300))])
-    assert vec.slope == pytest.approx(2.0)
-    assert vec.intercept == 3.0  # first observed value
+    row = characteristics_of(3.0 + 2.0 * np.arange(300))
+    assert row["slope"] == pytest.approx(2.0)
+    assert row["intercept"] == 3.0  # first observed value
 
 
 def test_trend_constant():
     slope, _ = ols_line([5.0, 5.0, 5.0])
     assert slope == pytest.approx(0.0)
-    [vec] = compute_characteristics([make_series(np.full(300, 5.0))])
-    assert (vec.slope, vec.intercept) == (0.0, 5.0)
+    row = characteristics_of(np.full(300, 5.0))
+    assert (row["slope"], row["intercept"]) == (0.0, 5.0)
 
 
 def test_trend_noisy_line_within_ols_band():
@@ -175,8 +175,7 @@ def test_dfa_random_walk_range():
 def test_dfa_linear_ramp_saturates():
     [got] = self_similarity_dfa([np.arange(1000, dtype=float)])
     assert got == pytest.approx(2.0, abs=0.1)
-    [vec] = compute_characteristics([make_series(np.arange(1000, dtype=float))])
-    assert "dfa_saturated" in vec.flags
+    assert characteristics_of(np.arange(1000, dtype=float))["self_similarity"] >= 1.9
 
 
 def test_dfa_matches_naive_oracle():
@@ -517,13 +516,13 @@ def test_chaos_after_cli_import_leaves_scipy_unloaded():
 
 # --- assembled vector ---------------------------------------------------------------
 
-def test_constant_series_flagged_zeros():
-    [vec] = compute_characteristics([make_series(np.full(300, 4.0))])
-    assert vec.standard_deviation == 0.0
-    assert vec.slope == pytest.approx(0.0)
-    assert vec.skewness == 0.0 and vec.kurtosis == 0.0 and vec.autocorrelation == 0.0
-    assert vec.self_similarity == 0.0 and vec.chaos == 0.0
-    assert "zero_variance" in vec.flags
+def test_constant_series_zeros():
+    row = characteristics_of(np.full(300, 4.0))
+    assert row["standard_deviation"] == 0.0
+    assert row["slope"] == pytest.approx(0.0)
+    assert row["skewness"] == 0.0 and row["kurtosis"] == 0.0 and row["autocorrelation"] == 0.0
+    assert row["self_similarity"] == 0.0 and row["chaos"] == 0.0
+    assert list(row.values()) == [4.0, 0.0, 0.0, 0.0] + [4.0] * 7 + [0.0, 4.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("n, config", [(29, RunConfig()), (39, RunConfig(min_series_len=40))])
@@ -534,67 +533,74 @@ def test_series_below_min_series_len_raises_naming_the_setting(n, config):
 
 
 def test_vector_matches_field_order():
-    [vec] = compute_characteristics([make_series(random_walk(400, seed=21, start=100.0))])
-    d = vec.as_dict()
-    assert list(d) == list(COLUMNS)
-    assert np.array_equal(vec.values(), np.array([d[c] for c in COLUMNS]))
+    x = random_walk(400, seed=21, start=100.0)
+    [row] = compute_characteristics([make_series(x)])
+    mom, q = moments(x), quantiles(x)
+    [dfa] = self_similarity_dfa([x])
+    expected = {
+        "mean": mom.mean, "standard_deviation": mom.standard_deviation,
+        "skewness": mom.skewness, "kurtosis": mom.kurtosis,
+        "maximum": q.maximum, "minimum": q.minimum, "lowerquant": q.lowerquant, "median": q.median,
+        "upperquant": q.upperquant, "VaR99": q.var99, "VaR95": q.var95,
+        "slope": ols_line(x)[0], "intercept": x[0], "autocorrelation": autocorrelation_lag1(x),
+        "self_similarity": dfa, "chaos": chaos_lyapunov(x),
+    }
+    assert sorted(expected) == sorted(COLUMNS)
+    assert row.shape == (len(COLUMNS),) and row.dtype == np.float64
+    for name, value in expected.items():
+        assert row[COLUMNS.index(name)] == value, name
 
 
 def test_vector_against_independent_reference():
     x = np.abs(random_walk(1_000, seed=31, start=50.0)) + 1.0
-    [vec] = compute_characteristics([make_series(x)])
+    row = characteristics_of(x)
     mean, sd, skew, kurt = moments_direct(x)
-    assert vec.mean == pytest.approx(mean, rel=1e-8)
-    assert vec.standard_deviation == pytest.approx(sd, rel=1e-8)
-    assert vec.skewness == pytest.approx(skew, rel=1e-8)
-    assert vec.kurtosis == pytest.approx(kurt, rel=1e-8)
-    for attr, p in [("minimum", 0.0), ("var99", 0.01), ("var95", 0.05), ("lowerquant", 0.25),
+    assert row["mean"] == pytest.approx(mean, rel=1e-8)
+    assert row["standard_deviation"] == pytest.approx(sd, rel=1e-8)
+    assert row["skewness"] == pytest.approx(skew, rel=1e-8)
+    assert row["kurtosis"] == pytest.approx(kurt, rel=1e-8)
+    for attr, p in [("minimum", 0.0), ("VaR99", 0.01), ("VaR95", 0.05), ("lowerquant", 0.25),
                     ("median", 0.5), ("upperquant", 0.75), ("maximum", 1.0)]:
-        assert getattr(vec, attr) == pytest.approx(quantile_sorted(x, p), rel=1e-8)
+        assert row[attr] == pytest.approx(quantile_sorted(x, p), rel=1e-8)
     oslope, _ = ols_direct(x)
-    assert vec.slope == pytest.approx(oslope, rel=1e-8)
-    assert vec.intercept == x[0]
-    assert vec.autocorrelation == pytest.approx(acf1_direct(x), rel=1e-8)
-    assert vec.self_similarity == pytest.approx(dfa_naive(x), rel=1e-3)
-    assert vec.chaos == pytest.approx(lyapunov_naive(x), rel=1e-3, abs=1e-6)
+    assert row["slope"] == pytest.approx(oslope, rel=1e-8)
+    assert row["intercept"] == x[0]
+    assert row["autocorrelation"] == pytest.approx(acf1_direct(x), rel=1e-8)
+    assert row["self_similarity"] == pytest.approx(dfa_naive(x), rel=1e-3)
+    assert row["chaos"] == pytest.approx(lyapunov_naive(x), rel=1e-3, abs=1e-6)
 
 
 # --- invariances ----------------------------------------------------------------------
 
-def _vec(x):
-    [vec] = compute_characteristics([make_series(x)])
-    return vec
-
-
 def test_shift_equivariance():
     x = np.abs(random_walk(600, seed=41)) + 5.0
-    a, b = _vec(x), _vec(x + 10.0)
+    a, b = characteristics_of(x), characteristics_of(x + 10.0)
     for attr in ("mean", "maximum", "minimum", "lowerquant", "median", "upperquant",
-                 "var99", "var95", "intercept"):
-        assert getattr(b, attr) == pytest.approx(getattr(a, attr) + 10.0, rel=1e-9, abs=1e-9)
+                 "VaR99", "VaR95", "intercept"):
+        assert b[attr] == pytest.approx(a[attr] + 10.0, rel=1e-9, abs=1e-9)
     for attr in ("standard_deviation", "skewness", "kurtosis", "autocorrelation", "slope"):
-        assert getattr(b, attr) == pytest.approx(getattr(a, attr), rel=1e-9, abs=1e-9)
-    assert b.self_similarity == pytest.approx(a.self_similarity, abs=1e-3)
-    assert b.chaos == pytest.approx(a.chaos, abs=1e-3)
+        assert b[attr] == pytest.approx(a[attr], rel=1e-9, abs=1e-9)
+    assert b["self_similarity"] == pytest.approx(a["self_similarity"], abs=1e-3)
+    assert b["chaos"] == pytest.approx(a["chaos"], abs=1e-3)
 
 
 def test_scale_equivariance():
     x = np.abs(random_walk(600, seed=43)) + 5.0
     lam = 3.5
-    a, b = _vec(x), _vec(lam * x)
+    a, b = characteristics_of(x), characteristics_of(lam * x)
     for attr in ("mean", "standard_deviation", "maximum", "minimum", "lowerquant", "median",
-                 "upperquant", "var99", "var95", "slope", "intercept"):
-        assert getattr(b, attr) == pytest.approx(lam * getattr(a, attr), rel=1e-9)
+                 "upperquant", "VaR99", "VaR95", "slope", "intercept"):
+        assert b[attr] == pytest.approx(lam * a[attr], rel=1e-9)
     for attr in ("skewness", "kurtosis", "autocorrelation"):
-        assert getattr(b, attr) == pytest.approx(getattr(a, attr), rel=1e-9)
-    assert b.self_similarity == pytest.approx(a.self_similarity, abs=1e-9)
+        assert b[attr] == pytest.approx(a[attr], rel=1e-9)
+    assert b["self_similarity"] == pytest.approx(a["self_similarity"], abs=1e-9)
 
 
 def test_reversal():
     x = np.abs(random_walk(600, seed=47)) + 5.0
-    a, b = _vec(x), _vec(x[::-1].copy())
-    assert b.slope == pytest.approx(-a.slope, rel=1e-9)
-    assert b.intercept == x[-1]
+    a, b = characteristics_of(x), characteristics_of(x[::-1].copy())
+    assert b["slope"] == pytest.approx(-a["slope"], rel=1e-9)
+    assert b["intercept"] == x[-1]
     for attr in ("mean", "standard_deviation", "skewness", "kurtosis", "maximum", "minimum",
-                 "lowerquant", "median", "upperquant", "var99", "var95"):
-        assert getattr(b, attr) == pytest.approx(getattr(a, attr), rel=1e-12)
+                 "lowerquant", "median", "upperquant", "VaR99", "VaR95"):
+        assert b[attr] == pytest.approx(a[attr], rel=1e-12)

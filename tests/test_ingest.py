@@ -400,12 +400,37 @@ _BITCOIN = PROFILE_BLOCK.format(coin="bitcoin")
     (_BITCOIN + "bogus: 1\n", "profiles.txt:10: bitcoin: unknown profile keys ['bogus']"),
     (_BITCOIN.replace("blocks: 2016", "blocks: ten"),
      "profiles.txt:5: bitcoin: difficulty_adjustment_blocks must be a positive integer, got 'ten'"),
-], ids=["missing_key", "enum", "duplicate_coin", "unknown_key", "numeric"])
+    (_BITCOIN + "\n" + PROFILE_BLOCK.format(coin="bit&co<in,x"),
+     "profiles.txt:11: coin_id='bit&co<in,x' may use only ASCII letters, digits, '_', '-' and '.'"),
+    (PROFILE_BLOCK.format(coin="coïn"),
+     "profiles.txt:1: coin_id='coïn' may use only ASCII letters, digits, '_', '-' and '.'"),
+], ids=["missing_key", "enum", "duplicate_coin", "unknown_key", "numeric", "coin_id_markup", "coin_id_non_ascii"])
 def test_profile_error_names_file_and_line(tmp_path, text, message):
     p = tmp_path / "profiles.txt"
     p.write_text(text, encoding="utf-8")
     with pytest.raises(CoinclustError, match=f"^{re.escape(message)}$"):
         load_profiles(p)
+
+
+def test_profile_coin_id_grammar_admits_letters_digits_underscore_hyphen_and_dot(tmp_path):
+    coins = ["bitcoin_cash", "coin0000", "Bit-Coin.2"]
+    p = tmp_path / "profiles.txt"
+    p.write_text("\n".join(PROFILE_BLOCK.format(coin=c) for c in coins), encoding="utf-8")
+    assert sorted(load_profiles(p)) == sorted(coins)
+
+
+def test_report_refuses_a_coin_id_that_would_break_the_svg_and_csv(tmp_path, snapshot_dir, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    coin = "bit&co<in,x"
+    for path in snapshot_dir.iterdir():
+        (data / path.name.replace("bitcoin.", f"{coin}.", 1)).write_bytes(path.read_bytes())
+    profiles = data / "profiles.txt"
+    profiles.write_text(profiles.read_text().replace("coin_id: bitcoin\n", f"coin_id: {coin}\n"))
+    out = tmp_path / "out"
+    assert main(["report", "--data-dir", str(data), "--metric", "price_usd", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: profiles.txt:5: coin_id={coin!r} may use only")
+    assert not (out / "clusters.price_usd.svg").exists()
 
 
 def test_profiles_non_utf8_names_file(tmp_path):
