@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import CoinclustError
+from .parallel import fork_map
 
 # Feature order of a characteristics row; names double as CSV/JSON column labels.
 COLUMNS = (
@@ -582,11 +583,19 @@ def compute_characteristics(series, config: RunConfig | None = None) -> list[np.
     excludes the series, its message starting with the field name; the
     fluctuation analysis' length and window grid come before the divergence
     rate.  The ``intercept`` column is the first observed value, not the
-    fitted regression intercept.  The self-similarity exponents of the
-    series that pass come from one ``self_similarity_dfa`` call, which
-    computes each from that series alone.
+    fitted regression intercept.
+
+    The series are shared out by ``fork_map`` over the CPUs in the affinity
+    mask.  The self-similarity exponents of a share's series that pass come
+    from one ``self_similarity_dfa`` call, which computes each from that
+    series alone, so no row depends on the number of CPUs.
     """
     cfg = config or RunConfig()
+    return fork_map(lambda share: _characteristics(share, cfg), series)
+
+
+def _characteristics(series: list, cfg: RunConfig) -> list[np.ndarray | CoinclustError]:
+    """``compute_characteristics`` of ``series`` in this process."""
     results: list[np.ndarray | CoinclustError] = []
     pending: list[tuple[int, np.ndarray]] = []  # (position, values) awaiting the DFA exponent
     for item in series:

@@ -49,14 +49,12 @@ class MechanismCrosstab:
             "| --- | --- | --- | " + " | ".join("---" for _ in CROSSTAB_ATTRIBUTES) + " |",
         ]
         for row in self.rows:
-            cells = []
+            cells = [str(row["cluster_id"]), str(row["size"]), ", ".join(row["coins"])]
             for attr in CROSSTAB_ATTRIBUTES:
                 counts = row["attributes"][attr]
                 cells.append(", ".join(f"{v} x{c}" if c > 1 else v for v, c in sorted(counts.items())))
-            lines.append(
-                f"| {row['cluster_id']} | {row['size']} | "
-                + ", ".join(row["coins"]) + " | " + " | ".join(cells) + " |"
-            )
+            # a profile token may hold "|", which would end its table cell
+            lines.append("| " + " | ".join(cell.replace("|", r"\|") for cell in cells) + " |")
         lines.append("")
         lines.append(
             "purity: " + ", ".join(f"{a} {self.purity[a]:.3f}" for a in CROSSTAB_ATTRIBUTES)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -95,6 +96,18 @@ def test_report_bundle(tmp_path, snapshot_dir):
     # config echoed verbatim for reproducibility
     assert report["config"]["seed"] == 42
     assert report["fingerprints"]
+
+
+def test_a_pipe_in_a_profile_token_stays_in_its_markdown_cell(tmp_path, snapshot_dir):
+    data = tmp_path / "data"
+    shutil.copytree(snapshot_dir, data)
+    profiles = data / "profiles.txt"
+    profiles.write_text(profiles.read_text(encoding="utf-8").replace("SHA-256", "SHA|256", 1), encoding="utf-8")
+    assert run(["report", "--data-dir", str(data), "--metric", "price_usd", "--out", str(tmp_path / "out")]) == 0
+    table = [line for line in (tmp_path / "out" / "report.md").read_text().splitlines() if line.startswith("|")]
+    cells = [len(re.split(r"(?<!\\)\|", line)) for line in table]
+    assert len(table) > 2 and set(cells) == {cells[0]}
+    assert any(r"SHA\|256" in line for line in table[2:])
 
 
 def test_snapshot_report_never_imports_numpy_ma(tmp_path, snapshot_dir):

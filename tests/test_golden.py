@@ -3,10 +3,10 @@
 The sha256 of every file that ``features``, ``cluster`` and ``report``
 write on the snapshot, and of ``report.json`` on the ``wide`` and ``deep``
 benchmark sets at seed 301, must equal ``fixtures/golden/digests.json``
-in their canonical form, on the default BLAS kernel and on another.  After
-a deliberate output change, rewrite the file with
-``PYTHONPATH=src python tests/test_golden.py`` and say in the change what
-moved and by how much.
+in their canonical form: on the default BLAS kernel, on another, and on
+one CPU, where ``fork_map`` forks no worker.  After a deliberate output
+change, rewrite the file with ``PYTHONPATH=src python tests/test_golden.py``
+and say in the change what moved and by how much.
 """
 
 import csv
@@ -28,6 +28,7 @@ SEED = 301
 # Floats from eigh and the SVD, whose last digits depend on the BLAS kernel
 PER_KERNEL_KEYS = ("coords", "eigenvalues", "explained_variance_ratio")
 MAIN = "import json, sys; from coinclust.cli import main; sys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+ONE_CORE = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
 
 
 def _without_per_kernel(obj):
@@ -64,8 +65,10 @@ def write_benchmark_sets(dest: Path) -> dict[str, list[str]]:
     return args
 
 
-def digests(sets: dict[str, list[str]], out: Path, coretype: str | None = None) -> dict[str, str]:
-    """Run every command in one process under ``coretype`` and digest its files."""
+def digests(sets: dict[str, list[str]], out: Path, coretype: str | None = None,
+            one_core: bool = False) -> dict[str, str]:
+    """Run every command in one process under ``coretype``, pinned to one
+    CPU if ``one_core``, and digest its files."""
     runs = {f"snapshot/{cmd}": [cmd, "--data-dir", str(SNAPSHOT_DIR)] for cmd in ("features", "cluster", "report")}
     runs.update({name: ["report", *args] for name, args in sets.items()})
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
@@ -73,7 +76,7 @@ def digests(sets: dict[str, list[str]], out: Path, coretype: str | None = None) 
     if coretype:
         env["OPENBLAS_CORETYPE"] = coretype
     argv = [args + ["--out", str(out / run)] for run, args in runs.items()]
-    done = subprocess.run([sys.executable, "-c", MAIN, json.dumps(argv)],
+    done = subprocess.run([sys.executable, "-c", (ONE_CORE if one_core else "") + MAIN, json.dumps(argv)],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     got = {}
@@ -88,10 +91,14 @@ def benchmark_sets(tmp_path_factory):
     return write_benchmark_sets(tmp_path_factory.mktemp("sets"))
 
 
-@pytest.mark.parametrize("coretype", [None, "Prescott"])
-def test_every_output_matches_its_golden_digest(tmp_path, snapshot_dir, benchmark_sets, coretype):
+@pytest.mark.parametrize("coretype, one_core", [
+    pytest.param(None, False, id="None"),
+    pytest.param("Prescott", False, id="Prescott"),
+    pytest.param(None, True, id="one_core"),
+])
+def test_every_output_matches_its_golden_digest(tmp_path, snapshot_dir, benchmark_sets, coretype, one_core):
     # OpenBLAS builds with DYNAMIC_ARCH pick their kernel from OPENBLAS_CORETYPE
-    got = digests(benchmark_sets, tmp_path, coretype)
+    got = digests(benchmark_sets, tmp_path, coretype, one_core)
     assert len(got) == 3 + 3 + 11 + 2
     assert got == json.loads(GOLDEN.read_text())
 
