@@ -10,6 +10,9 @@ fixes; that order is part of the clustering contract.
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
@@ -18,7 +21,6 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import CoinclustError
-from .parallel import fork_map
 
 # Feature order of a characteristics row; names double as CSV/JSON column labels.
 COLUMNS = (
@@ -571,7 +573,7 @@ def chaos_lyapunov(values, config: RunConfig | None = None) -> float:
 
 
 def compute_characteristics(series, config: RunConfig | None = None) -> list[np.ndarray | CoinclustError]:
-    """The sixteen characteristics of each of a metric's series, as rows.
+    """The sixteen characteristics of each series, as rows.
 
     Returns one entry per series, in order: its float row in ``COLUMNS``
     order, or the ``CoinclustError`` that excludes it.  This is where a
@@ -585,13 +587,13 @@ def compute_characteristics(series, config: RunConfig | None = None) -> list[np.
     rate.  The ``intercept`` column is the first observed value, not the
     fitted regression intercept.
 
-    The series are shared out by ``fork_map`` over the CPUs in the affinity
+    The series are shared out by ``_fork_map`` over the CPUs in the affinity
     mask.  The self-similarity exponents of a share's series that pass come
     from one ``self_similarity_dfa`` call, which computes each from that
     series alone, so no row depends on the number of CPUs.
     """
     cfg = config or RunConfig()
-    return fork_map(lambda share: _characteristics(share, cfg), series)
+    return _fork_map(lambda share: _characteristics(share, cfg), series)
 
 
 def _characteristics(series: list, cfg: RunConfig) -> list[np.ndarray | CoinclustError]:
@@ -626,3 +628,99 @@ def _characteristics(series: list, cfg: RunConfig) -> list[np.ndarray | Coinclus
     for (at, _), dfa in zip(pending, exponents):
         results[at][COLUMNS.index("self_similarity")] = dfa
     return results
+
+
+def _fork_map(fn, items) -> list:
+    """``fn(items)``, computed in shares on every CPU in the affinity mask.
+
+    ``fn`` takes a list and returns one result per element, in order; each
+    result must depend only on its own element.  Let w be the number of CPUs
+    in the affinity mask, capped at ``len(items)``.  Share k is
+    ``items[k::w]``: share 0 runs in this process and each other share in a
+    forked worker, and the results are interleaved back into the order of
+    ``items``.  With w below 2, off the main thread, or while other Python
+    threads run, this is ``fn(items)`` in this process: a worker is a copy
+    of the forking thread alone, so a lock another thread held would stay
+    held in it.
+
+    Every worker is read and waited for before this returns or raises, also
+    when this process' own share raises; that exception then propagates.
+    An exception raised in a worker's share is raised here with the
+    worker's formatted traceback as its cause, or, if it cannot be pickled,
+    as a ``RuntimeError`` that carries that traceback.  A worker that ends
+    without sending its results raises ``RuntimeError`` naming its exit
+    status.
+    """
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    w = min(cpus, len(items))
+    if w < 2 or threading.current_thread() is not threading.main_thread() or threading.active_count() > 1:
+        return fn(items)
+    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, w):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, items[k::w], read_fd, write_fd)
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                # later workers must not hold this write end, or its reader never sees EOF
+                os.close(write_fd)
+            workers.append((pid, read_fd))
+        shares = [fn(items[0::w])]
+    finally:
+        received = [_reap(pid, read_fd) for pid, read_fd in workers]
+    for (pid, _), (blob, status) in zip(workers, received):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            how = f"exit status {code}" if code > 0 else f"signal {-code}"
+            raise RuntimeError(f"worker {pid} ended with {how} without sending its results")
+        results, exc, text = pickle.loads(blob)
+        if text is not None:
+            if exc is None:
+                raise RuntimeError(f"worker {pid} raised an exception that cannot be pickled:\n{text}")
+            raise exc from RuntimeError(f"in worker {pid}:\n{text}")
+        shares.append(results)
+    merged = [None] * len(items)
+    for k, results in enumerate(shares):
+        merged[k::w] = results
+    return merged
+
+
+def _serve(fn, share: list, read_fd: int, write_fd: int) -> None:
+    """A worker's whole life: send ``(fn(share), None, None)``, or
+    ``(None, exception or None, traceback text)``, and exit with status 0
+    only once it is sent.  It never returns into the caller's frames."""
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            blob = pickle.dumps((fn(share), None, None))
+        except BaseException as exc:
+            import traceback  # only a failing worker pays for the import
+
+            text = traceback.format_exc()
+            try:
+                blob = pickle.dumps((None, exc, text))
+                pickle.loads(blob)  # some exceptions pickle but cannot be rebuilt
+            except Exception:
+                blob = pickle.dumps((None, None, text))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(blob)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read_fd: int) -> tuple[bytes, int]:
+    """Everything a worker sent, read to EOF, and its wait status."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            blob = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return blob, status

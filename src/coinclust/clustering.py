@@ -68,10 +68,21 @@ class ClusterAssignment:
         }
 
 
-def assemble_features(dataset: Dataset, config: RunConfig | None = None) -> FeatureMatrix:
+def characteristics_by_metric(datasets: dict[str, Dataset], config: RunConfig) -> dict[str, list]:
+    """``compute_characteristics`` of each dataset's series in sorted coin
+    order, keyed like ``datasets``.  It is one call over the series of every
+    metric, so one set of workers serves the whole run."""
+    batches = {name: [ds.series[c] for c in ds.coin_ids()] for name, ds in datasets.items()}
+    rows = iter(compute_characteristics([s for batch in batches.values() for s in batch], config))
+    return {name: [next(rows) for _ in batch] for name, batch in batches.items()}
+
+
+def assemble_features(dataset: Dataset, config: RunConfig | None = None, characteristics=None) -> FeatureMatrix:
     """One row per coin, in sorted coin order: 16 characteristics then
     ``config.spectrum_bins`` spectrum bins.
 
+    ``characteristics`` is ``compute_characteristics`` of the dataset's
+    series in sorted coin order; when not given, it is computed here.
     Coins whose data cannot yield features (a ``CoinclustError``) are
     excluded and recorded in ``excluded`` rather than failing the whole
     batch; any other exception is a parameter or programming error and
@@ -83,7 +94,8 @@ def assemble_features(dataset: Dataset, config: RunConfig | None = None) -> Feat
     rows: list[np.ndarray] = []
     excluded: dict[str, str] = {}
     coins = dataset.coin_ids()
-    characteristics = compute_characteristics([dataset.series[c] for c in coins], cfg)
+    if characteristics is None:
+        characteristics = compute_characteristics([dataset.series[c] for c in coins], cfg)
     for coin_id, row in zip(coins, characteristics):
         if isinstance(row, CoinclustError):
             excluded[coin_id] = str(row)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .clustering import (
-    ClusterAssignment, FeatureMatrix, assemble_features, select_k_and_cluster, standardize,
+    ClusterAssignment, FeatureMatrix, assemble_features, characteristics_by_metric, select_k_and_cluster,
+    standardize,
 )
 from .config import RunConfig
 from .errors import CoinclustError
@@ -53,8 +54,8 @@ class MechanismCrosstab:
             for attr in CROSSTAB_ATTRIBUTES:
                 counts = row["attributes"][attr]
                 cells.append(", ".join(f"{v} x{c}" if c > 1 else v for v, c in sorted(counts.items())))
-            # a profile token may hold "|", which would end its table cell
-            lines.append("| " + " | ".join(cell.replace("|", r"\|") for cell in cells) + " |")
+            # a profile token may hold "|" or a backslash; escaped, neither ends its table cell
+            lines.append("| " + " | ".join(cell.replace("\\", "\\\\").replace("|", r"\|") for cell in cells) + " |")
         lines.append("")
         lines.append(
             "purity: " + ", ".join(f"{a} {self.purity[a]:.3f}" for a in CROSSTAB_ATTRIBUTES)
@@ -266,9 +267,10 @@ class RunReport:
         return "\n".join(parts)
 
 
-def analyze_metric(section: MetricSection, dataset: Dataset, config: RunConfig) -> None:
-    """Fill ``section`` with features, clustering, crosstab and projection."""
-    section.features = assemble_features(dataset, config)
+def analyze_metric(section: MetricSection, dataset: Dataset, config: RunConfig, characteristics: list) -> None:
+    """Fill ``section`` with features, clustering, crosstab and projection,
+    from the dataset's ``compute_characteristics`` rows."""
+    section.features = assemble_features(dataset, config, characteristics)
     standardized = standardize(section.features)
     section.assignment = select_k_and_cluster(
         standardized, k_max=config.k_max, seed=config.seed, sigma=config.sigma
@@ -283,11 +285,12 @@ def report_run(datasets: dict[str, Dataset], config: RunConfig) -> RunReport:
         raise CoinclustError("no metric datasets supplied")
     sections: dict[str, MetricSection] = {}
     fingerprints: dict[str, str] = {}
+    characteristics = characteristics_by_metric(datasets, config)
     for metric, dataset in sorted(datasets.items()):
         fingerprints.update(dataset.fingerprints)
         section = sections[metric] = MetricSection(metric=metric, missing=list(dataset.missing))
         try:
-            analyze_metric(section, dataset, config)
+            analyze_metric(section, dataset, config, characteristics[metric])
         except CoinclustError as exc:
             section.error = str(exc)
     echoed = config.as_dict()

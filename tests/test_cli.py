@@ -98,16 +98,20 @@ def test_report_bundle(tmp_path, snapshot_dir):
     assert report["fingerprints"]
 
 
-def test_a_pipe_in_a_profile_token_stays_in_its_markdown_cell(tmp_path, snapshot_dir):
+@pytest.mark.parametrize("token", ["SHA|256", "SHA\\|256"])
+def test_a_pipe_in_a_profile_token_stays_in_its_markdown_cell(tmp_path, snapshot_dir, token):
     data = tmp_path / "data"
     shutil.copytree(snapshot_dir, data)
     profiles = data / "profiles.txt"
-    profiles.write_text(profiles.read_text(encoding="utf-8").replace("SHA-256", "SHA|256", 1), encoding="utf-8")
+    profiles.write_text(profiles.read_text(encoding="utf-8").replace("SHA-256", token, 1), encoding="utf-8")
     assert run(["report", "--data-dir", str(data), "--metric", "price_usd", "--out", str(tmp_path / "out")]) == 0
     table = [line for line in (tmp_path / "out" / "report.md").read_text().splitlines() if line.startswith("|")]
-    cells = [len(re.split(r"(?<!\\)\|", line)) for line in table]
-    assert len(table) > 2 and set(cells) == {cells[0]}
-    assert any(r"SHA\|256" in line for line in table[2:])
+    # GFM splits a row at each "|" that no backslash precedes, turns "\|" into "|",
+    # then reads the cell's backslash escapes
+    rows = [[re.sub(r"\\(.)", r"\1", cell.replace("\\|", "|")).strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in table]
+    assert len(rows) > 2 and {len(row) for row in rows} == {len(rows[0])}
+    assert any(token in cell.split(", ") for row in rows[2:] for cell in row)
 
 
 def test_snapshot_report_never_imports_numpy_ma(tmp_path, snapshot_dir):

@@ -4,9 +4,10 @@ The sha256 of every file that ``features``, ``cluster`` and ``report``
 write on the snapshot, and of ``report.json`` on the ``wide`` and ``deep``
 benchmark sets at seed 301, must equal ``fixtures/golden/digests.json``
 in their canonical form: on the default BLAS kernel, on another, and on
-one CPU, where ``fork_map`` forks no worker.  After a deliberate output
-change, rewrite the file with ``PYTHONPATH=src python tests/test_golden.py``
-and say in the change what moved and by how much.
+one CPU, where ``compute_characteristics`` forks no worker.  After a
+deliberate output change, rewrite the file with
+``PYTHONPATH=src python tests/test_golden.py`` and say in the change what
+moved and by how much.
 """
 
 import csv

@@ -1,5 +1,5 @@
-"""``fork_map`` gives the same results and errors at every worker count and
-leaves no worker behind.
+"""The fork pool of ``compute_characteristics`` gives the same results and
+errors at every worker count and leaves no worker behind.
 
 The worker count is the number of CPUs in the affinity mask, capped at the
 number of items; each test sets the mask's size by patching
@@ -12,11 +12,11 @@ import threading
 import pytest
 
 from coinclust import characteristics
-from coinclust.characteristics import compute_characteristics
+from coinclust.characteristics import _fork_map, compute_characteristics
 from coinclust.cli import build_datasets
+from coinclust.clustering import characteristics_by_metric
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
-from coinclust.parallel import fork_map
 
 from conftest import SNAPSHOT_DIR, make_series, random_walk
 
@@ -48,7 +48,7 @@ def snapshot_series():
 
 def test_items_come_back_in_order_from_every_worker(monkeypatch):
     on_cpus(monkeypatch, 3)
-    got = fork_map(lambda share: [(x, os.getpid()) for x in share], range(7))
+    got = _fork_map(lambda share: [(x, os.getpid()) for x in share], range(7))
     assert [x for x, _ in got] == list(range(7))
     pids = [pid for _, pid in got]
     assert pids[0::3] == [os.getpid()] * 3
@@ -58,13 +58,17 @@ def test_items_come_back_in_order_from_every_worker(monkeypatch):
 
 def test_one_cpu_runs_in_this_process(monkeypatch):
     on_cpus(monkeypatch, 1)
-    assert fork_map(lambda share: [os.getpid() for _ in share], range(5)) == [os.getpid()] * 5
+    assert _fork_map(lambda share: [os.getpid() for _ in share], range(5)) == [os.getpid()] * 5
 
 
 def test_a_call_off_the_main_thread_runs_in_its_thread(monkeypatch):
     on_cpus(monkeypatch, 3)
     got = []
-    thread = threading.Thread(target=lambda: got.extend(fork_map(lambda share: [os.getpid() for _ in share], range(5))))
+
+    def pids(share):
+        return [os.getpid() for _ in share]
+
+    thread = threading.Thread(target=lambda: got.extend(_fork_map(pids, range(5))))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive() and got == [os.getpid()] * 5
@@ -81,6 +85,17 @@ def test_rows_and_messages_are_the_same_at_every_worker_count(monkeypatch, snaps
     errors = sum(isinstance(o, tuple) for o in got[1])
     assert errors == (0 if config.dfa_min_window == 4 else 9)
     assert all(got[cpus] == got[1] for cpus in CPU_COUNTS)
+
+
+def test_one_call_over_every_metric_gives_each_metric_its_own_rows(monkeypatch):
+    datasets, _ = build_datasets(RunConfig(data_dir=str(SNAPSHOT_DIR)))
+    on_cpus(monkeypatch, 2)
+    got = characteristics_by_metric(datasets, RunConfig())
+    assert_no_child_left()
+    assert list(got) == list(datasets)
+    on_cpus(monkeypatch, 1)
+    for name, ds in datasets.items():
+        assert outcomes(got[name]) == outcomes(compute_characteristics([ds.series[c] for c in ds.coin_ids()]))
 
 
 @pytest.mark.parametrize("cpus", CPU_COUNTS[1:])
@@ -148,5 +163,5 @@ def test_a_worker_that_exits_without_results_raises(monkeypatch):
 
     on_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="ended with exit status 3 without sending its results"):
-        fork_map(exits_in_worker, range(4))
+        _fork_map(exits_in_worker, range(4))
     assert_no_child_left()
