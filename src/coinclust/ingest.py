@@ -33,23 +33,6 @@ class Metric(str, enum.Enum):
     BLOCK_SIZE = "block_size_bytes"
 
 
-class Consensus(str, enum.Enum):
-    POW = "PoW"
-    POS = "PoS"
-    OTHER = "other"
-
-
-class BlockSizeLimitKind(str, enum.Enum):
-    STATIC = "static"
-    DYNAMIC = "dynamic"
-    NONE = "none"
-
-
-class Governance(str, enum.Enum):
-    PUBLIC = "public"
-    PRIVATE = "private"
-
-
 @dataclass
 class Series:
     """One coin, one metric: the retained daily values, in date order."""
@@ -66,13 +49,14 @@ class Series:
 
 @dataclass
 class MechanismProfile:
-    """Blockchain mechanism attributes of one coin."""
+    """Blockchain mechanism attributes of one coin: each token as written in
+    the profiles file, a positive number, or None for an optional ``none``."""
 
     coin_id: str
-    consensus: Consensus
+    consensus: str
     hashing_algorithm: str
-    block_size_limit_kind: BlockSizeLimitKind
-    governance: Governance
+    block_size_limit_kind: str
+    governance: str
     fork_origin: str | None = None
     difficulty_adjustment_blocks: int | None = None
     target_block_time_minutes: float | None = None
@@ -267,6 +251,19 @@ _PROFILE_KEYS = tuple(f.name for f in fields(MechanismProfile))
 _REQUIRED_KEYS = tuple(f.name for f in fields(MechanismProfile) if f.default is MISSING)
 # A coin id names files and is written unquoted into CSV, SVG and Markdown.
 _COIN_ID = re.compile(r"[A-Za-z0-9_.-]+")
+# What a key's token may be: one of a tuple's tokens, a positive int or float,
+# or a match of a pattern.  Any other key takes a free token.  The keys are
+# checked in this order, then the free ones.
+_TOKENS = {
+    "difficulty_adjustment_blocks": int,
+    "target_block_time_minutes": float,
+    "block_size_limit_bytes": float,
+    "consensus": ("PoW", "PoS", "other"),
+    "block_size_limit_kind": ("static", "dynamic", "none"),
+    "governance": ("public", "private"),
+    "fork_origin": _COIN_ID,
+}
+_CHECK_ORDER = (*_TOKENS, *(key for key in _PROFILE_KEYS if key not in _TOKENS))
 
 
 def _profile_from_block(block: dict[str, str], lines: dict[str, int], source: str) -> MechanismProfile:
@@ -292,46 +289,28 @@ def _profile_from_block(block: dict[str, str], lines: dict[str, int], source: st
             f"{source}:{lines['coin_id']}: coin_id={coin!r} may use only ASCII letters, digits, '_', '-' and '.'"
         )
 
-    def optional(key):
-        tok = block.get(key, "none")
-        return None if tok == "none" else tok
-
-    def member(enum_cls, key):
-        for value in enum_cls:
-            if value.value == block[key]:
-                return value
-        allowed = ", ".join(m.value for m in enum_cls)
-        raise CoinclustError(f"{at(key)}: {key}={block[key]!r} not one of {{{allowed}}}")
-
-    def positive(key, cast):
-        """The key's positive finite value (nan fails the test too), or None."""
-        tok = optional(key)
-        if tok is None:
-            return None
-        try:
-            value = cast(tok)
-        except ValueError:
-            value = None
-        if value is None or not 0 < value < np.inf:
-            kind = "integer" if cast is int else "finite number"
-            raise CoinclustError(f"{at(key)}: {key} must be a positive {kind}, got {tok!r}")
-        return value
-
-    diff = positive("difficulty_adjustment_blocks", int)
-    target = positive("target_block_time_minutes", float)
-    limit_bytes = positive("block_size_limit_bytes", float)
-
-    return MechanismProfile(
-        coin_id=coin,
-        fork_origin=optional("fork_origin"),
-        consensus=member(Consensus, "consensus"),
-        hashing_algorithm=block["hashing_algorithm"],
-        difficulty_adjustment_blocks=diff,
-        target_block_time_minutes=target,
-        block_size_limit_kind=member(BlockSizeLimitKind, "block_size_limit_kind"),
-        block_size_limit_bytes=limit_bytes,
-        governance=member(Governance, "governance"),
-    )
+    values = {}
+    for key in _CHECK_ORDER:
+        tok = block.get(key)
+        if tok is None or (tok == "none" and key not in _REQUIRED_KEYS):
+            continue  # the field's default, None
+        if not tok:
+            raise CoinclustError(f"{at(key)}: {key} must not be empty")
+        rule = _TOKENS.get(key)
+        if isinstance(rule, tuple) and tok not in rule:
+            raise CoinclustError(f"{at(key)}: {key}={tok!r} not one of {{{', '.join(rule)}}}")
+        if isinstance(rule, re.Pattern) and not rule.fullmatch(tok):
+            raise CoinclustError(f"{at(key)}: {key}={tok!r} may use only ASCII letters, digits, '_', '-' and '.'")
+        values[key] = tok
+        if rule is int or rule is float:
+            try:  # ASCII without "_": int and float also take "2_016" and other scripts' digits
+                values[key] = rule(tok) if tok.isascii() and "_" not in tok else math.nan
+            except ValueError:
+                values[key] = math.nan
+            if not 0 < values[key] < math.inf:  # nan fails the test too
+                kind = "integer" if rule is int else "finite number"
+                raise CoinclustError(f"{at(key)}: {key} must be a positive {kind}, got {tok!r}")
+    return MechanismProfile(**values)
 
 
 def load_profiles(path) -> dict[str, MechanismProfile]:

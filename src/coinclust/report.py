@@ -65,11 +65,7 @@ class MechanismCrosstab:
 
 def _attr_token(profile: MechanismProfile, attr: str) -> str:
     value = getattr(profile, attr)
-    if value is None:
-        return "none"
-    if hasattr(value, "value"):
-        return str(value.value)
-    return str(value)
+    return "none" if value is None else str(value)
 
 
 def crosstab(assignment: ClusterAssignment, profiles: dict[str, MechanismProfile]) -> MechanismCrosstab:

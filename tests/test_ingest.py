@@ -10,9 +10,6 @@ import pytest
 
 from coinclust.errors import CoinclustError, NoSeriesLoadedError
 from coinclust.ingest import (
-    BlockSizeLimitKind,
-    Consensus,
-    Governance,
     Metric,
     build_dataset,
     load_profiles,
@@ -170,7 +167,7 @@ governance: public
     profiles = load_profiles(p)
     assert set(profiles) == {"bitcoin", "dogecoin"}
     btc = profiles["bitcoin"]
-    assert btc.consensus is Consensus.POW
+    assert btc.consensus == "PoW"
     assert btc.hashing_algorithm == "SHA-256"
     assert btc.difficulty_adjustment_blocks == 2016
     assert btc.target_block_time_minutes == 10.0
@@ -375,8 +372,10 @@ def test_row_route_validates_rows_as_it_reads_them(tmp_path):
     assert peak < 800_000
 
 
-@pytest.mark.parametrize("key", ["target_block_time_minutes", "block_size_limit_bytes"])
-@pytest.mark.parametrize("token", ["ten", "nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("key", ["target_block_time_minutes", "block_size_limit_bytes",
+                                 "difficulty_adjustment_blocks"])
+@pytest.mark.parametrize("token", ["ten", "nan", "inf", "-inf", "0", "2_016", "\uff12\uff10\uff11\uff16",
+                                   "\u0661\u0662"])
 def test_profiles_numeric_key_must_be_positive_finite_number(tmp_path, key, token):
     text = "\n".join(
         f"{key}: {token}" if line.startswith(key) else line
@@ -404,7 +403,17 @@ _BITCOIN = PROFILE_BLOCK.format(coin="bitcoin")
      "profiles.txt:11: coin_id='bit&co<in,x' may use only ASCII letters, digits, '_', '-' and '.'"),
     (PROFILE_BLOCK.format(coin="coïn"),
      "profiles.txt:1: coin_id='coïn' may use only ASCII letters, digits, '_', '-' and '.'"),
-], ids=["missing_key", "enum", "duplicate_coin", "unknown_key", "numeric", "coin_id_markup", "coin_id_non_ascii"])
+    (_BITCOIN.replace("hashing_algorithm: SHA-256", "hashing_algorithm:"),
+     "profiles.txt:4: bitcoin: hashing_algorithm must not be empty"),
+    (_BITCOIN.replace("fork_origin: none", "fork_origin:   # to be looked up"),
+     "profiles.txt:2: bitcoin: fork_origin must not be empty"),
+    (_BITCOIN.replace("consensus: PoW", "consensus:"), "profiles.txt:3: bitcoin: consensus must not be empty"),
+    (_BITCOIN.replace("blocks: 2016", "blocks:"),
+     "profiles.txt:5: bitcoin: difficulty_adjustment_blocks must not be empty"),
+    (_BITCOIN.replace("fork_origin: none", "fork_origin: lite|coin"),
+     "profiles.txt:2: bitcoin: fork_origin='lite|coin' may use only ASCII letters, digits, '_', '-' and '.'"),
+], ids=["missing_key", "enum", "duplicate_coin", "unknown_key", "numeric", "coin_id_markup", "coin_id_non_ascii",
+        "empty_free_token", "empty_fork_origin", "empty_enum", "empty_numeric", "fork_origin_markup"])
 def test_profile_error_names_file_and_line(tmp_path, text, message):
     p = tmp_path / "profiles.txt"
     p.write_text(text, encoding="utf-8")

@@ -19,7 +19,7 @@ from coinclust.clustering import _median_root
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
 from coinclust.ingest import (
-    _PROFILE_KEYS, BlockSizeLimitKind, Consensus, Dataset, Governance, MechanismProfile, Metric,
+    _PROFILE_KEYS, _TOKENS, Dataset, MechanismProfile, Metric,
     _plain_values, _row_series, load_profiles, load_series, read_utf8,
 )
 from coinclust.report import report_run
@@ -279,6 +279,7 @@ def test_every_shipped_and_benchmark_series_file_takes_the_array_route():
 
 @settings(deadline=None, max_examples=150)
 @given(data=st.one_of(st.binary(max_size=300), _PROFILE_LINES.map(_as_bytes)))
+@example(data=(SNAPSHOT_DIR / "profiles.txt").read_bytes())  # drawn blocks are seldom valid
 def test_load_profiles_gives_profiles_or_a_coinclust_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "profiles.txt"
@@ -292,6 +293,14 @@ def test_load_profiles_gives_profiles_or_a_coinclust_error(data):
             for value in (profile.difficulty_adjustment_blocks, profile.target_block_time_minutes,
                           profile.block_size_limit_bytes):
                 assert value is None or 0 < value < math.inf
+            values = vars(profile)
+            assert all(value is None or type(value) in (str, int, float) for value in values.values())
+            for key, rule in _TOKENS.items():
+                assert not isinstance(rule, tuple) or values[key] in rule
+            # written out as key: token lines, it reads back the same
+            path.write_text("\n".join(f"{key}: {'none' if value is None else value}"
+                                      for key, value in values.items()), encoding="utf-8")
+            assert load_profiles(path) == {profile.coin_id: profile}
 
 
 def _sweep_datasets() -> dict[str, Dataset]:
@@ -301,8 +310,8 @@ def _sweep_datasets() -> dict[str, Dataset]:
     rng = np.random.default_rng(2024)
     coins = ["walk1", "walk2", "walk3", "walk4", "twin", "flat", "peg", "steps", "absent"]
     profiles = {
-        coin: MechanismProfile(coin, list(Consensus)[i % 3], ["sha256", "scrypt"][i % 2],
-                               list(BlockSizeLimitKind)[i % 3], list(Governance)[i % 2])
+        coin: MechanismProfile(coin, ["PoW", "PoS", "other"][i % 3], ["sha256", "scrypt"][i % 2],
+                               ["static", "dynamic", "none"][i % 3], ["public", "private"][i % 2])
         for i, coin in enumerate(coins)
     }
     datasets = {}

@@ -4,27 +4,19 @@ import pytest
 from coinclust.clustering import ClusterAssignment
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
-from coinclust.ingest import (
-    BlockSizeLimitKind,
-    Consensus,
-    Dataset,
-    Governance,
-    MechanismProfile,
-    Metric,
-)
+from coinclust.ingest import Dataset, MechanismProfile, Metric
 from coinclust.projection import Projection3D
 from coinclust.report import crosstab, emit_plots, report_run
 
 from conftest import make_series, random_walk
 
 
-def profile(coin, consensus=Consensus.POW, hashing="SHA-256", fork=None, diff=2016,
-            size_kind=BlockSizeLimitKind.STATIC):
+def profile(coin, consensus="PoW", hashing="SHA-256", fork=None, diff=2016, size_kind="static"):
     return MechanismProfile(
         coin_id=coin,
         consensus=consensus,
         hashing_algorithm=hashing,
-        governance=Governance.PUBLIC,
+        governance="public",
         block_size_limit_kind=size_kind,
         fork_origin=fork,
         difficulty_adjustment_blocks=diff,
@@ -69,10 +61,10 @@ def test_crosstab_homogeneous_purity_one():
 def test_crosstab_modal_share_half():
     a = assignment_of([["c1", "c2", "c3", "c4"]])
     profiles = {
-        "c1": profile("c1", consensus=Consensus.POW),
-        "c2": profile("c2", consensus=Consensus.POW),
-        "c3": profile("c3", consensus=Consensus.POS),
-        "c4": profile("c4", consensus=Consensus.POS),
+        "c1": profile("c1", consensus="PoW"),
+        "c2": profile("c2", consensus="PoW"),
+        "c3": profile("c3", consensus="PoS"),
+        "c4": profile("c4", consensus="PoS"),
     }
     ct = crosstab(a, profiles)
     assert ct.purity["consensus"] == pytest.approx(0.5)
@@ -81,8 +73,8 @@ def test_crosstab_modal_share_half():
 def test_crosstab_pos_pair_cluster():
     a = assignment_of([["peercoin", "reddcoin"], ["bitcoin", "litecoin"]], metric="block_time_minutes")
     profiles = {
-        "peercoin": profile("peercoin", consensus=Consensus.POS),
-        "reddcoin": profile("reddcoin", consensus=Consensus.POS),
+        "peercoin": profile("peercoin", consensus="PoS"),
+        "reddcoin": profile("reddcoin", consensus="PoS"),
         "bitcoin": profile("bitcoin"),
         "litecoin": profile("litecoin"),
     }
