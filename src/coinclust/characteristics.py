@@ -82,12 +82,18 @@ def moments(values) -> Moments:
     kurtosis G2 (0 for a normal sample), matching the defaults of the common
     statistical packages.  Zero-variance input yields skewness and kurtosis
     of 0; so do samples too short for the correction factors (n < 3 for
-    skewness, n < 4 for kurtosis).
+    skewness, n < 4 for kurtosis).  Input whose range is too wide or too
+    narrow for its fourth powers in floats raises ``CoinclustError``.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 2:
         raise CoinclustError("moments: need at least 2 observations")
+    # Each deviation is at most the range r and one is at least r / 2: the n fourth powers
+    # sum to a finite float, and m2 * m2 >= r**4 / (16 n**2) is at least the smallest normal one.
+    spread, limits = float(np.ptp(x)), np.finfo(float)
+    if spread > 0.0 and not 2.0 * np.sqrt(n) * limits.tiny**0.25 <= spread <= (limits.max / n) ** 0.25:
+        raise CoinclustError(f"kurtosis: a range of {spread:g} puts fourth powers outside the float range")
     mean = float(np.mean(x))
     d = x - mean
     m2 = float(np.mean(d * d))

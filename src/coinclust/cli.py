@@ -23,9 +23,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from .characteristics import DAYS_PER_FIT_STEP, LYAPUNOV_FIT_STEPS
-from .config import ALL_METRICS, RunConfig, load_config
+from .config import RunConfig, load_config
 from .errors import CoinclustError, ConfigError, NoSeriesLoadedError
-from .ingest import Dataset, Metric, build_dataset, load_profiles, source_url
+from .ingest import METRICS, Dataset, build_dataset, load_profiles, source_url
 from .report import MetricSection, emit_plots, report_run
 
 
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--data-dir", dest="data_dir", help="directory of <coin>.<metric>.csv files")
         p.add_argument("--profiles", dest="profiles_path", help="mechanism profiles file")
-        p.add_argument("--metric", action="append", dest="metrics", choices=ALL_METRICS,
+        p.add_argument("--metric", action="append", dest="metrics", choices=METRICS,
                        help="metric to process (repeatable; default: all)")
 
     def add_common(p):
@@ -87,9 +87,8 @@ def build_datasets(cfg: RunConfig) -> tuple[dict[str, Dataset], list[str]]:
     datasets: dict[str, Dataset] = {}
     notes: list[str] = []
     for name in cfg.metrics:
-        metric = Metric(name)
         try:
-            datasets[name] = build_dataset(cfg.data_dir, cfg.resolved_profiles_path(), metric)
+            datasets[name] = build_dataset(cfg.data_dir, cfg.resolved_profiles_path(), name)
         except NoSeriesLoadedError:
             notes.append(f"{name}: no series files found")
     if not datasets:
@@ -149,7 +148,7 @@ def run_pipeline(cfg: RunConfig, args) -> int:
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         (out / "report.md").write_text(report.to_markdown(), encoding="utf-8")
     failed = []
-    for name, section in sorted(report.sections.items()):
+    for name, section in report.sections.items():
         line = args.write(section, out)
         if line is None:
             line = f"{name}: failed ({section.error})"
@@ -169,7 +168,7 @@ def cmd_fetch_stub(cfg: RunConfig, args) -> int:
     print("# no fetching is performed; these are the conventional source pages")
     for coin in [args.coin] if args.coin is not None else sorted(profiles):
         for name in cfg.metrics:
-            print(source_url(coin, Metric(name)))
+            print(source_url(coin, name))
     return 0
 
 

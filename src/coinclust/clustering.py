@@ -111,13 +111,13 @@ def assemble_features(dataset: Dataset, config: RunConfig | None = None, charact
         coins_by_reason: dict[str, list[str]] = {}
         for coin_id, reason in excluded.items():
             coins_by_reason.setdefault(reason, []).append(coin_id)
-        raise CoinclustError(f"no coin produced features for {dataset.metric.value}" + "".join(
+        raise CoinclustError(f"no coin produced features for {dataset.metric}" + "".join(
             f"; {', '.join(coins)}: {reason}" for reason, coins in coins_by_reason.items()))
     return FeatureMatrix(
         coin_ids=coin_ids,
         rows=np.vstack(rows),
         column_names=list(COLUMNS) + bin_names(cfg.spectrum_bins),
-        metric=dataset.metric.value,
+        metric=dataset.metric,
         excluded=excluded,
     )
 

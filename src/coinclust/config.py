@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .ingest import Metric, read_utf8
+from .ingest import METRICS, read_utf8
 from .spectrum import DEFAULT_BINS
 
-ALL_METRICS = [m.value for m in Metric]
 DEFAULT_K_MAX = 6
 DEFAULT_SEED = 42
+# The fields that name files; a report echoes every field but these.
+PATH_FIELDS = ("data_dir", "profiles_path", "output_dir")
 
 # Smallest accepted value of each integer field.
 _INT_MINIMUM = {
@@ -52,7 +53,7 @@ def _is_real(value) -> bool:
 class RunConfig:
     data_dir: str = "data/snapshot"
     profiles_path: str = ""  # default: <data_dir>/profiles.txt
-    metrics: list[str] = field(default_factory=lambda: list(ALL_METRICS))
+    metrics: list[str] = field(default_factory=lambda: list(METRICS))
     spectrum_bins: int = DEFAULT_BINS
     k_max: int = DEFAULT_K_MAX
     seed: int = DEFAULT_SEED
@@ -67,15 +68,15 @@ class RunConfig:
 
     def __post_init__(self):
         """Reject wrongly typed or out-of-range values before any work starts."""
-        for name in ("data_dir", "profiles_path", "output_dir"):
+        for name in PATH_FIELDS:
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not (isinstance(self.metrics, list) and self.metrics
-                and all(m in ALL_METRICS for m in self.metrics)):
-            raise ConfigError(f"metrics must be a non-empty list drawn from {ALL_METRICS}, "
+                and all(isinstance(m, str) and m in METRICS for m in self.metrics)):
+            raise ConfigError(f"metrics must be a non-empty list drawn from {list(METRICS)}, "
                               f"got {self.metrics!r}")
-        # each metric once, in ALL_METRICS order, however the flags spelled the set
-        self.metrics = [m for m in ALL_METRICS if m in self.metrics]
+        # each metric once, in METRICS order, however the flags spelled the set
+        self.metrics = [m for m in METRICS if m in self.metrics]
         for name, low in _INT_MINIMUM.items():
             value = getattr(self, name)
             if name == "lyapunov_max_fit_steps" and value is None:
@@ -93,9 +94,6 @@ class RunConfig:
 
     def resolved_profiles_path(self) -> Path:
         return Path(self.profiles_path) if self.profiles_path else Path(self.data_dir) / "profiles.txt"
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

@@ -13,7 +13,6 @@ conventionally come from.
 from __future__ import annotations
 
 import csv
-import enum
 import hashlib
 import io
 import math
@@ -27,10 +26,19 @@ import numpy as np
 from .errors import CoinclustError, NoSeriesLoadedError
 
 
-class Metric(str, enum.Enum):
-    PRICE = "price_usd"
-    BLOCK_TIME = "block_time_minutes"
-    BLOCK_SIZE = "block_size_bytes"
+# Each metric's name, also its file-name suffix, and its upstream chart page.
+# Every command processes the metrics in this order.
+METRICS = {
+    "price_usd": "price",
+    "block_time_minutes": "confirmationtime",
+    "block_size_bytes": "size",
+}
+
+
+def _check_metric(metric: str) -> str:
+    if metric not in METRICS:  # the CLI and RunConfig pass no other name: a bug
+        raise ValueError(f"unknown metric {metric!r}, expected one of {list(METRICS)}")
+    return metric
 
 
 @dataclass
@@ -71,7 +79,7 @@ class Dataset:
     ``missing``), but every loaded series must have a profile.
     """
 
-    metric: Metric
+    metric: str
     series: dict[str, Series]
     profiles: dict[str, MechanismProfile]
     missing: list[str] = field(default_factory=list)
@@ -94,7 +102,7 @@ def decode_utf8(path: Path, data: bytes, error: type[CoinclustError] = Coinclust
         raise error(f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def load_series(path, metric: Metric) -> Series:
+def load_series(path, metric: str) -> Series:
     """Load and validate one series CSV; the result keeps only the values.
 
     The file is read once (``parse_series`` takes bytes already read) and
@@ -121,14 +129,14 @@ def load_series(path, metric: Metric) -> Series:
     return parse_series(path, path.read_bytes(), metric)
 
 
-def parse_series(path: Path, data: bytes, metric: Metric) -> Series:
+def parse_series(path: Path, data: bytes, metric: str) -> Series:
     """``load_series`` of ``data``, the bytes read from ``path``."""
     text = decode_utf8(path, data)
-    values = _plain_values(text, metric)
+    values = _plain_values(text, _check_metric(metric))
     return _row_series(path, text, metric) if values is None else Series(values)
 
 
-def _row_series(path: Path, text: str, metric: Metric) -> Series:
+def _row_series(path: Path, text: str, metric: str) -> Series:
     """The row loop of ``load_series``: the route of every file that is not
     plain, and the one definition of its drops and messages."""
     last: date | None = None
@@ -169,11 +177,11 @@ def _row_series(path: Path, text: str, metric: Metric) -> Series:
                     raise CoinclustError(
                         f"{path.name}:{lineno}: dates not strictly increasing ({day} after {last})"
                     )
-                if metric is Metric.PRICE and value < 0:
+                if metric == "price_usd" and value < 0:
                     raise CoinclustError(f"{path.name}:{lineno}: negative price {raw}")
-                if metric is not Metric.PRICE and value <= 0:
+                if metric != "price_usd" and value <= 0:
                     raise CoinclustError(
-                        f"{path.name}:{lineno}: {metric.value} must be strictly positive, got {raw}"
+                        f"{path.name}:{lineno}: {metric} must be strictly positive, got {raw}"
                     )
                 last = day
                 values.append(value)
@@ -194,7 +202,7 @@ _HIGH = np.frombuffer(b"9999-19-39,", dtype=np.uint8)[:, None]
 _FIRST_DAY = np.datetime64("0001-01-01")  # numpy has a year 0; date.fromisoformat has not
 
 
-def _plain_values(text: str, metric: Metric) -> np.ndarray | None:
+def _plain_values(text: str, metric: str) -> np.ndarray | None:
     """The values of a plain series file, or None for any other file.
 
     A plain file is ASCII with no ``"`` and no CR: the header line is
@@ -241,7 +249,7 @@ def _plain_values(text: str, metric: Metric) -> np.ndarray | None:
         return None
     if not np.isfinite(values).all():
         return None
-    signed = values >= 0 if metric is Metric.PRICE else values > 0
+    signed = values >= 0 if metric == "price_usd" else values > 0
     return values if signed.all() else None
 
 
@@ -357,17 +365,17 @@ def parse_profiles(path: Path, data: bytes) -> dict[str, MechanismProfile]:
     return profiles
 
 
-def build_dataset(series_dir, profiles_path, metric: Metric) -> Dataset:
+def build_dataset(series_dir, profiles_path, metric: str) -> Dataset:
     """Load every ``<coin_id>.<metric>.csv`` under ``series_dir``.
 
     Coins that have a profile but no file for this metric are reported in
     ``Dataset.missing``, not treated as errors.  A file for a coin without
     a profile is an error.
     """
+    suffix = f".{_check_metric(metric)}.csv"
     series_dir, profiles_path = Path(series_dir), Path(profiles_path)
     data = profiles_path.read_bytes()
     profiles = parse_profiles(profiles_path, data)
-    suffix = f".{metric.value}.csv"
     series: dict[str, Series] = {}
     fingerprints = {profiles_path.name: hashlib.sha256(data).hexdigest()}
     for path in sorted(series_dir.glob(f"*{suffix}")):
@@ -378,21 +386,16 @@ def build_dataset(series_dir, profiles_path, metric: Metric) -> Dataset:
         series[coin_id] = parse_series(path, data, metric)
         fingerprints[path.name] = hashlib.sha256(data).hexdigest()
     if not series:
-        raise NoSeriesLoadedError(f"no {metric.value} series found in {series_dir}")
+        raise NoSeriesLoadedError(f"no {metric} series found in {series_dir}")
     missing = sorted(c for c in profiles if c not in series)
     return Dataset(metric=metric, series=series, profiles=profiles, missing=missing, fingerprints=fingerprints)
 
 
-def source_url(coin_id: str, metric: Metric) -> str:
+def source_url(coin_id: str, metric: str) -> str:
     """The conventional upstream chart URL for one coin and metric.
 
     Documentation only; nothing in this package performs network fetches.
     The site exposes per-metric chart pages of the form
     ``https://bitinfocharts.com/comparison/<chart>-<coin>.html``.
     """
-    chart = {
-        Metric.PRICE: "price",
-        Metric.BLOCK_TIME: "confirmationtime",
-        Metric.BLOCK_SIZE: "size",
-    }[metric]
-    return f"https://bitinfocharts.com/comparison/{chart}-{coin_id}.html"
+    return f"https://bitinfocharts.com/comparison/{METRICS[_check_metric(metric)]}-{coin_id}.html"

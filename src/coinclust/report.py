@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .clustering import (
     ClusterAssignment, FeatureMatrix, assemble_features, characteristics_by_metric, select_k_and_cluster,
     standardize,
 )
-from .config import RunConfig
+from .config import PATH_FIELDS, RunConfig
 from .errors import CoinclustError
 from .ingest import Dataset, MechanismProfile
 from .projection import Projection3D, pca3
@@ -53,7 +53,7 @@ class MechanismCrosstab:
             cells = [str(row["cluster_id"]), str(row["size"]), ", ".join(row["coins"])]
             for attr in CROSSTAB_ATTRIBUTES:
                 counts = row["attributes"][attr]
-                cells.append(", ".join(f"{v} x{c}" if c > 1 else v for v, c in sorted(counts.items())))
+                cells.append(", ".join(f"{v} x{c}" if c > 1 else v for v, c in counts.items()))
             # a profile token may hold "|" or a backslash; escaped, neither ends its table cell
             lines.append("| " + " | ".join(cell.replace("\\", "\\\\").replace("|", r"\|") for cell in cells) + " |")
         lines.append("")
@@ -233,20 +233,14 @@ class RunReport:
     sections: dict[str, MetricSection]
     fingerprints: dict[str, str]
 
-    def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "metrics": {m: s.as_dict() for m, s in sorted(self.sections.items())},
-            "fingerprints": dict(sorted(self.fingerprints.items())),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        document = {"config": self.config, "metrics": {m: s.as_dict() for m, s in self.sections.items()},
+                    "fingerprints": self.fingerprints}
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
     def to_markdown(self) -> str:
         parts = ["# Cluster / mechanism report", ""]
-        for metric in sorted(self.sections):
-            section = self.sections[metric]
+        for metric, section in self.sections.items():
             if section.error is not None:
                 parts.append(f"### {metric}\n\nfailed: {section.error}\n")
                 continue
@@ -282,14 +276,12 @@ def report_run(datasets: dict[str, Dataset], config: RunConfig) -> RunReport:
     sections: dict[str, MetricSection] = {}
     fingerprints: dict[str, str] = {}
     characteristics = characteristics_by_metric(datasets, config)
-    for metric, dataset in sorted(datasets.items()):
+    for metric, dataset in datasets.items():
         fingerprints.update(dataset.fingerprints)
         section = sections[metric] = MetricSection(metric=metric, missing=list(dataset.missing))
         try:
             analyze_metric(section, dataset, config, characteristics[metric])
         except CoinclustError as exc:
             section.error = str(exc)
-    echoed = config.as_dict()
-    for path in ("data_dir", "profiles_path", "output_dir"):
-        del echoed[path]
+    echoed = {name: value for name, value in asdict(config).items() if name not in PATH_FIELDS}
     return RunReport(config=echoed, sections=sections, fingerprints=fingerprints)

@@ -33,7 +33,7 @@ def periodogram(values) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 8:
-        raise CoinclustError(f"need >= 8 observations, got {n}")
+        raise CoinclustError(f"spectrum: need >= 8 observations, got {n}")
     f = np.fft.rfft(x - np.mean(x) if np.ptp(x) > 0.0 else np.zeros(n))
     power = np.abs(f[1 : n // 2 + 1]) ** 2
     freqs = np.arange(1, n // 2 + 1, dtype=float) / n

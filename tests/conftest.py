@@ -22,11 +22,19 @@ def characteristics_of(values) -> dict[str, float]:
     return dict(zip(COLUMNS, row.tolist()))
 
 
+def load_module(relative: str):
+    """A fresh import of a module of this repository outside ``src/``, such as
+    ``perfbench/workloads.py``, named after its path."""
+    spec = importlib.util.spec_from_file_location("_".join(Path(relative).with_suffix("").parts),
+                                                  REPO_ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def benchmark_files(workload: str, seed: int = 301) -> dict[str, bytes]:
     """The files of a synthetic benchmark set, made read-only by ``perfbench/workloads.py``."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_module("perfbench/workloads.py")
     files, _ = workloads.synthesize(workloads.load_generator(REPO_ROOT), workload, seed)
     return files
 

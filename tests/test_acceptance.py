@@ -31,7 +31,7 @@ from coinclust.clustering import (
     standardize,
 )
 from coinclust.config import RunConfig
-from coinclust.ingest import Metric, build_dataset
+from coinclust.ingest import METRICS, build_dataset
 from coinclust.report import report_run
 from coinclust.spectrum import bin_names, periodogram, resample_spectrum
 
@@ -214,7 +214,7 @@ def test_criterion_6_no_singleton_k_selection():
 
 def test_criterion_7_determinism_and_equivariance(snapshot_dir):
     t0 = time.time()
-    ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
+    ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", "price_usd")
     cfg = RunConfig(data_dir=str(snapshot_dir), metrics=["price_usd"])
     a = report_run({"price_usd": ds}, cfg).to_json()
     b = report_run({"price_usd": ds}, cfg).to_json()
@@ -252,7 +252,7 @@ def test_criterion_7_determinism_and_equivariance(snapshot_dir):
 def test_criterion_8_end_to_end_fixture_run(snapshot_dir):
     t0 = time.time()
     datasets = {
-        m.value: build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", m) for m in Metric
+        m: build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", m) for m in METRICS
     }
     assert sorted(datasets["block_time_minutes"].missing) == ["xrp"]
     assert sorted(datasets["block_size_bytes"].missing) == ["peercoin", "xrp"]
@@ -281,7 +281,7 @@ def test_criterion_8_end_to_end_fixture_run(snapshot_dir):
 
 def test_criterion_9_feature_schema(snapshot_dir):
     t0 = time.time()
-    ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
+    ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", "price_usd")
     matrix = assemble_features(ds)
     expected = [
         "mean", "standard_deviation", "skewness", "kurtosis", "maximum", "minimum",

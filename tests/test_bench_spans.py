@@ -5,20 +5,17 @@ up; a caller that stops looking a name up there leaves its span silent and
 its per-layer metric at zero.  This test only reads ``perfbench/``.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, load_module
 
 
 def test_every_wrapped_span_is_recorded(tmp_path, snapshot_dir):
     script = REPO_ROOT / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", script)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_module("perfbench/spans.py")
     trace = tmp_path / "trace.json"
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     done = subprocess.run(

@@ -6,15 +6,11 @@ them breaks the ``wide`` and ``deep`` workloads.  This test only reads
 ``perfbench/``.
 """
 
-import importlib.util
-
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, load_module
 
 
 def test_synthetic_workloads_build_from_the_generator():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_module("perfbench/workloads.py")
     gen = workloads.load_generator(REPO_ROOT)
     for name, files_expected in (("wide", 601), ("deep", 31)):
         files, planted = workloads.synthesize(gen, name, 301)

@@ -26,7 +26,7 @@ from coinclust.characteristics import (
 )
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
-from coinclust.ingest import Metric, build_dataset
+from coinclust.ingest import METRICS, build_dataset
 
 from conftest import characteristics_of, make_series, random_walk, white_noise
 from oracles import (
@@ -64,6 +64,19 @@ def test_moments_match_direct_summation_oracle():
     assert m.standard_deviation == pytest.approx(sd, rel=1e-10)
     assert m.skewness == pytest.approx(skew, rel=1e-10, abs=1e-10)
     assert m.kurtosis == pytest.approx(kurt, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [4, 1000])
+def test_moments_are_finite_inside_the_float_range_and_refused_outside(n):
+    x = white_noise(n, seed=n)
+    x /= np.ptp(x)
+    limits = np.finfo(float)
+    low, high = 2 * np.sqrt(n) * limits.tiny**0.25, (limits.max / n) ** 0.25
+    for spread in (low * 1.001, high * 0.999):
+        assert np.isfinite(moments(x * spread)).all()
+    for spread in (low * 0.999, high * 1.001):
+        with pytest.raises(CoinclustError, match=r"^kurtosis: a range of "):
+            moments(x * spread)
 
 
 def test_excess_kurtosis_can_be_negative():
@@ -207,7 +220,7 @@ def test_dfa_with_fewer_than_two_window_sizes_raises(n, config):
 @pytest.mark.parametrize("config", [RunConfig(), RunConfig(dfa_min_window=5, dfa_max_window_frac=0.3)],
                          ids=["defaults", "min_window_5_frac_0.3"])
 def test_dfa_equals_reference_loop_on_every_snapshot_series(snapshot_dir, config):
-    series = [s.values for metric in Metric
+    series = [s.values for metric in METRICS
               for s in build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", metric).series.values()]
     assert len(series) == 51
     assert self_similarity_dfa(series, config).tolist() == [

@@ -12,7 +12,7 @@ from coinclust.cli import build_parser, main
 from coinclust.characteristics import COLUMNS, chaos_lyapunov, self_similarity_dfa
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError, ConfigError
-from coinclust.ingest import Metric, build_dataset
+from coinclust.ingest import METRICS, build_dataset
 from coinclust.spectrum import bin_names
 
 from conftest import FIXTURE_DIR, REPO_ROOT, SNAPSHOT_DIR, random_walk
@@ -188,9 +188,10 @@ def test_missing_config_file_is_usage_error_naming_the_file(tmp_path, snapshot_d
 
 def test_fetch_stub_prints_urls(tmp_path, snapshot_dir, capsys):
     assert run(["fetch-stub", "--data-dir", str(snapshot_dir), "--coin", "bitcoin"]) == 0
-    out = capsys.readouterr().out
-    assert "https://bitinfocharts.com/comparison/price-bitcoin.html" in out
-    assert "no fetching" in out
+    out = capsys.readouterr().out.splitlines()
+    assert "no fetching" in out[0]
+    assert out[1:] == [f"https://bitinfocharts.com/comparison/{chart}-bitcoin.html"
+                       for chart in ("price", "confirmationtime", "size")]
 
 
 def test_fetch_stub_unknown_coin_is_a_data_error(snapshot_dir, capsys):
@@ -217,6 +218,7 @@ def test_help_documents_config_fields(capsys):
                  "--sigma", "--min-series-len", "--dfa-min-window", "--embedding-dim",
                  "--out"):
         assert flag in text
+    assert "--metric {price_usd,block_time_minutes,block_size_bytes}" in text
 
 
 def test_every_config_field_is_a_report_flag():
@@ -273,7 +275,7 @@ def test_config_file_wrong_type_is_usage_error(tmp_path, snapshot_dir, capsys, c
 @pytest.mark.parametrize("field, value", [
     ("k_max", 1), ("k_max", True), ("seed", -1), ("sigma", float("nan")), ("sigma", "1"),
     ("dfa_min_window", 2), ("dfa_max_window_frac", 0.0), ("lyapunov_max_fit_steps", 2),
-    ("metrics", "price_usd"), ("metrics", []), ("data_dir", 5), ("spectrum_bins", 1),
+    ("metrics", "price_usd"), ("metrics", []), ("metrics", [["price_usd"]]), ("data_dir", 5), ("spectrum_bins", 1),
     pytest.param("sigma", 10**400, id="sigma-int_beyond_float"),
     pytest.param("dfa_max_window_frac", 10**400, id="dfa_max_window_frac-int_beyond_float"),
 ])
@@ -437,6 +439,41 @@ def test_two_spellings_of_a_metric_set_give_the_same_report(tmp_path, snapshot_d
     ]
 
 
+@pytest.mark.parametrize("command", ["features", "cluster", "report"])
+def test_metrics_come_out_in_table_order_whatever_the_flag_order(tmp_path, snapshot_dir, capsys, command):
+    flags = [arg for metric in reversed(METRICS) for arg in ("--metric", metric)]
+    assert run([command, "--data-dir", str(snapshot_dir), *flags, "--out", str(tmp_path)]) == 0
+    order = list(METRICS)
+    pattern = "|".join(order)
+    printed = [re.search(pattern, line).group() for line in capsys.readouterr().out.splitlines()
+               if not line.startswith(" ")]
+    assert printed == order
+    if command == "report":
+        headings = re.findall(rf"^### ({pattern}) ", (tmp_path / "report.md").read_text(), re.M)
+        assert headings == order
+
+
+@pytest.mark.parametrize("scale", [1e76, 1e100, 1e-100])
+def test_a_series_whose_fourth_powers_leave_the_float_range_is_excluded(tmp_path, snapshot_dir, capsys, scale):
+    data = _cut_snapshot(snapshot_dir, tmp_path / "data", [])
+    path = data / "bitcoin.price_usd.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [f"{day},{float(value) * scale!r}"
+                                           for day, value in (row.split(",") for row in rows)]) + "\n")
+    assert run(["features", "--data-dir", str(data), "--metric", "price_usd", "--out", str(tmp_path)]) == 0
+    assert "skipped bitcoin: kurtosis: a range of " in capsys.readouterr().out
+    assert "nan" not in (tmp_path / "features.price_usd.csv").read_text()
+
+
+def test_a_series_too_short_for_the_spectrum_is_excluded_with_its_field(tmp_path, snapshot_dir, capsys):
+    data = _cut_snapshot(snapshot_dir, tmp_path / "data", [])
+    (data / "bitcoin.price_usd.csv").write_text(
+        "date,value\n" + "".join(f"2019-01-0{day},5.0\n" for day in range(1, 6)))
+    assert run(["features", "--data-dir", str(data), "--metric", "price_usd", "--min-series-len", "3",
+                "--out", str(tmp_path)]) == 0
+    assert "skipped bitcoin: spectrum: need >= 8 observations, got 5" in capsys.readouterr().out
+
+
 def _feature_column(out, column):
     lines = (out / "features.price_usd.csv").read_text().splitlines()
     j = lines[0].split(",").index(column)
@@ -468,7 +505,7 @@ def test_estimator_flag_reaches_the_estimator(tmp_path, snapshot_dir, default_pr
     got = _feature_column(tmp_path, column)
     assert got != _feature_column(default_price_features, column)
     config = RunConfig(**{field: value})
-    dataset = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
+    dataset = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", "price_usd")
     series = [s.values for s in dataset.series.values()]
     if column == "self_similarity":
         expected = self_similarity_dfa(series, config).tolist()
@@ -482,7 +519,7 @@ def test_embedding_longer_than_a_series_excludes_that_coin(tmp_path, snapshot_di
     # (embedding_dim - 1) * delay days leave fewer than the 5 embedded points
     # the divergence fit needs in every series up to 2 * delay + 4 days
     reason = "chaos: not enough points to follow divergence trajectories"
-    dataset = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
+    dataset = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", "price_usd")
     short = sorted(c for c in dataset.coin_ids() if len(dataset.series[c]) < 2 * delay + 5)
     assert run(["features", "--data-dir", str(snapshot_dir), "--metric", "price_usd",
                 "--embedding-delay", str(delay), "--out", str(tmp_path)]) == code

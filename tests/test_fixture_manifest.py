@@ -5,17 +5,16 @@ fixture-freeze time; the library must reproduce them (1e-12 for closed-form
 characteristics, 1e-8 for the resampled spectrum).
 """
 
-import importlib.util
 import json
 
 import numpy as np
 import pytest
 
 from coinclust.characteristics import COLUMNS, compute_characteristics
-from coinclust.ingest import Metric, load_series
+from coinclust.ingest import load_series
 from coinclust.spectrum import spectrum_feature
 
-from conftest import FIXTURE_DIR, REPO_ROOT
+from conftest import FIXTURE_DIR, load_module
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +27,7 @@ def manifest():
 
 def test_characteristics_match_manifest(manifest, snapshot_dir):
     entry = manifest["characteristics"]
-    series = load_series(snapshot_dir / f"{entry['coin']}.{entry['metric']}.csv", Metric(entry["metric"]))
+    series = load_series(snapshot_dir / f"{entry['coin']}.{entry['metric']}.csv", entry["metric"])
     assert len(series) == entry["n"]
     [row] = compute_characteristics([series])
     for key in ("mean", "standard_deviation", "skewness", "kurtosis", "minimum", "VaR99", "VaR95",
@@ -38,16 +37,14 @@ def test_characteristics_match_manifest(manifest, snapshot_dir):
 
 def test_spectrum_matches_manifest(manifest, snapshot_dir):
     entry = manifest["spectrum"]
-    series = load_series(snapshot_dir / f"{entry['coin']}.{entry['metric']}.csv", Metric(entry["metric"]))
+    series = load_series(snapshot_dir / f"{entry['coin']}.{entry['metric']}.csv", entry["metric"])
     bins = spectrum_feature(series, k=len(entry["bins"]))
     assert np.allclose(bins, np.asarray(entry["bins"]), rtol=1e-8, atol=1e-12)
 
 
 def test_generator_reproduces_the_snapshot(snapshot_dir, tmp_path, monkeypatch):
     """The generator writes exactly the 51 series CSVs; profiles.txt is curated data it never writes."""
-    spec = importlib.util.spec_from_file_location("make_snapshot", REPO_ROOT / "tools" / "make_snapshot.py")
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
+    generator = load_module("tools/make_snapshot.py")
     monkeypatch.setattr(generator, "OUT", tmp_path)
     generator.generate()
     names = sorted(p.name for p in tmp_path.iterdir())

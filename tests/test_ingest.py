@@ -10,10 +10,11 @@ import pytest
 
 from coinclust.errors import CoinclustError, NoSeriesLoadedError
 from coinclust.ingest import (
-    Metric,
+    METRICS,
     build_dataset,
     load_profiles,
     load_series,
+    parse_series,
     source_url,
 )
 
@@ -43,7 +44,7 @@ governance: public
 def test_load_series_identity(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, [f"2019-01-0{i},{float(i)}" for i in range(1, 5)])
-    s = load_series(p, Metric.PRICE)
+    s = load_series(p, "price_usd")
     assert len(s) == 4
     assert list(s.values) == [1.0, 2.0, 3.0, 4.0]
     assert s.drop_count == 0
@@ -57,7 +58,7 @@ def test_load_series_drops_empty_values(tmp_path):
     # reorder so dates stay monotone: put the empty-value row at the end
     rows = rows[:50] + rows[51:] + ["2020-06-01,"]
     write_csv(p, rows)
-    s = load_series(p, Metric.PRICE)
+    s = load_series(p, "price_usd")
     assert len(s) == 100
     assert s.drop_count == 1
 
@@ -66,7 +67,7 @@ def test_load_series_structural_error(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-01,1.0,extra"])
     with pytest.raises(CoinclustError, match=r"^x\.csv:2: expected 2 fields, got 3$"):
-        load_series(p, Metric.PRICE)
+        load_series(p, "price_usd")
 
 
 def test_load_series_bad_date(tmp_path):
@@ -75,7 +76,7 @@ def test_load_series_bad_date(tmp_path):
     for text in ("01/02/2019", "20190101", "2019-W01-1"):
         write_csv(p, ["2018-12-30,1.0", f"{text},1.0"])
         with pytest.raises(CoinclustError, match=f"^x.csv:3: bad date '{text}'$"):
-            load_series(p, Metric.PRICE)
+            load_series(p, "price_usd")
 
 
 def test_load_series_nonpositive_block_metric(tmp_path):
@@ -83,13 +84,13 @@ def test_load_series_nonpositive_block_metric(tmp_path):
     write_csv(p, ["2019-01-01,5.0", "2019-01-02,0.0", "2019-01-03,2.0"])
     with pytest.raises(CoinclustError,
                        match=r"^x\.csv:3: block_time_minutes must be strictly positive, got 0\.0$"):
-        load_series(p, Metric.BLOCK_TIME)
+        load_series(p, "block_time_minutes")
 
 
 def test_load_series_zero_price_allowed(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-01,0.0", "2019-01-02,1.0"])
-    s = load_series(p, Metric.PRICE)
+    s = load_series(p, "price_usd")
     assert s.values[0] == 0.0
 
 
@@ -98,26 +99,26 @@ def test_load_series_non_monotone(tmp_path):
     write_csv(p, ["2019-01-02,1.0", "2019-01-01,2.0"])
     with pytest.raises(CoinclustError,
                        match=r"^x\.csv:3: dates not strictly increasing \(2019-01-01 after 2019-01-02\)$"):
-        load_series(p, Metric.PRICE)
+        load_series(p, "price_usd")
 
 
 def test_load_series_nan_token_dropped(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["2019-01-01,1.0", "2019-01-02,nan", "2019-01-03,inf", "2019-01-04,2.0"])
-    s = load_series(p, Metric.PRICE)
+    s = load_series(p, "price_usd")
     assert len(s) == 2 and s.drop_count == 2
 
 
 @pytest.mark.parametrize("metric, rows, message", [
-    (Metric.BLOCK_TIME, ["2019-01-01,5.0", "2019-01-02,-3.0"],
+    ("block_time_minutes", ["2019-01-01,5.0", "2019-01-02,-3.0"],
      "x.csv:3: block_time_minutes must be strictly positive, got -3.0"),
-    (Metric.BLOCK_SIZE, ["2019-01-01,5.0", "2019-01-02,0.0"],
+    ("block_size_bytes", ["2019-01-01,5.0", "2019-01-02,0.0"],
      "x.csv:3: block_size_bytes must be strictly positive, got 0.0"),
-    (Metric.PRICE, ["2019-01-01,5.0", "2019-01-02,-0.5"],
+    ("price_usd", ["2019-01-01,5.0", "2019-01-02,-0.5"],
      "x.csv:3: negative price -0.5"),
-    (Metric.PRICE, ["2019-01-02,1.0", "2019-01-01,1.0"],
+    ("price_usd", ["2019-01-02,1.0", "2019-01-01,1.0"],
      "x.csv:3: dates not strictly increasing (2019-01-01 after 2019-01-02)"),
-    (Metric.PRICE, ["2019-01-02,1.0", "2019-01-03,", "2019-01-01,1.0"],
+    ("price_usd", ["2019-01-02,1.0", "2019-01-03,", "2019-01-01,1.0"],
      "x.csv:4: dates not strictly increasing (2019-01-01 after 2019-01-02)"),
 ], ids=["block_time_negative", "block_size_zero", "price_negative", "swapped_dates",
         "date_after_a_dropped_row"])
@@ -133,7 +134,7 @@ def test_drop_count_conservation(tmp_path):
     rows = [f"2019-01-{i:02d},{i}.5" for i in range(1, 28)] + ["2019-02-01,oops", "2019-02-02,"]
     p = tmp_path / "x.csv"
     write_csv(p, rows)
-    s = load_series(p, Metric.PRICE)
+    s = load_series(p, "price_usd")
     assert len(s) + s.drop_count == len(rows)
 
 
@@ -212,10 +213,10 @@ def test_profiles_optional_none(tmp_path):
 
 # --- build_dataset ---------------------------------------------------------------
 
-def _write_snapshot(tmp_path, coins, metric=Metric.PRICE, n=40):
+def _write_snapshot(tmp_path, coins, metric="price_usd", n=40):
     for i, coin in enumerate(coins):
         rows = [f"2019-{1 + d // 28:02d}-{1 + d % 28:02d},{1.0 + i + d * 0.01}" for d in range(n)]
-        write_csv(tmp_path / f"{coin}.{metric.value}.csv", rows)
+        write_csv(tmp_path / f"{coin}.{metric}.csv", rows)
     profiles = "\n".join(PROFILE_BLOCK.format(coin=c) for c in coins)
     (tmp_path / "profiles.txt").write_text(profiles, encoding="utf-8")
 
@@ -223,7 +224,7 @@ def _write_snapshot(tmp_path, coins, metric=Metric.PRICE, n=40):
 def test_build_dataset_complete(tmp_path):
     coins = [f"coin{i:02d}" for i in range(18)]
     _write_snapshot(tmp_path, coins)
-    ds = build_dataset(tmp_path, tmp_path / "profiles.txt", Metric.PRICE)
+    ds = build_dataset(tmp_path, tmp_path / "profiles.txt", "price_usd")
     assert len(ds.series) == 18
     assert ds.missing == []
     assert all(c in ds.profiles for c in ds.series)
@@ -234,7 +235,7 @@ def test_snapshot_datasets_hold_little_beyond_their_values(snapshot_dir):
     # row would add about 4.4 MB.
     tracemalloc.start()
     try:
-        datasets = [build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", m) for m in Metric]
+        datasets = [build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", m) for m in METRICS]
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -252,7 +253,7 @@ def test_build_dataset_reads_each_series_file_once(monkeypatch, snapshot_dir):
         return read_bytes(path)
 
     monkeypatch.setattr(Path, "read_bytes", counting)
-    ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", Metric.PRICE)
+    ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", "price_usd")
     series_reads = [name for name in reads if name.endswith(".csv")]
     assert len(series_reads) == len(set(series_reads)) == len(ds.series) == 18
     assert ds.fingerprints == expected
@@ -276,10 +277,10 @@ def test_build_datasets_reads_the_profiles_once_per_dataset(monkeypatch, snapsho
 
 def test_build_dataset_missing_report(tmp_path):
     coins = [f"coin{i:02d}" for i in range(18)]
-    _write_snapshot(tmp_path, coins[:16], metric=Metric.BLOCK_SIZE)
+    _write_snapshot(tmp_path, coins[:16], metric="block_size_bytes")
     profiles = "\n".join(PROFILE_BLOCK.format(coin=c) for c in coins)
     (tmp_path / "profiles.txt").write_text(profiles, encoding="utf-8")
-    ds = build_dataset(tmp_path, tmp_path / "profiles.txt", Metric.BLOCK_SIZE)
+    ds = build_dataset(tmp_path, tmp_path / "profiles.txt", "block_size_bytes")
     assert len(ds.series) == 16
     assert ds.missing == ["coin16", "coin17"]
 
@@ -287,34 +288,34 @@ def test_build_dataset_missing_report(tmp_path):
 def test_build_dataset_empty(tmp_path):
     (tmp_path / "profiles.txt").write_text(PROFILE_BLOCK.format(coin="x"), encoding="utf-8")
     with pytest.raises(NoSeriesLoadedError, match="^no price_usd series found in "):
-        build_dataset(tmp_path, tmp_path / "profiles.txt", Metric.PRICE)
+        build_dataset(tmp_path, tmp_path / "profiles.txt", "price_usd")
 
 
 def test_build_dataset_series_without_profile(tmp_path):
     _write_snapshot(tmp_path, ["known"])
-    write_csv(tmp_path / f"mystery.{Metric.PRICE.value}.csv",
+    write_csv(tmp_path / "mystery.price_usd.csv",
               [f"2019-01-{i:02d},1.0" for i in range(1, 28)])
     with pytest.raises(CoinclustError, match=r"^mystery\.price_usd\.csv: no profile for coin 'mystery'$"):
-        build_dataset(tmp_path, tmp_path / "profiles.txt", Metric.PRICE)
+        build_dataset(tmp_path, tmp_path / "profiles.txt", "price_usd")
 
 
 def test_build_dataset_error_has_file_attribution(tmp_path):
     _write_snapshot(tmp_path, ["good"])
     rows = [f"2019-{1 + d // 28:02d}-{1 + d % 28:02d},1.0" for d in range(40)]
     rows[20] = "2018-12-31,2.0"
-    write_csv(tmp_path / f"bad.{Metric.PRICE.value}.csv", rows)
+    write_csv(tmp_path / "bad.price_usd.csv", rows)
     profiles = PROFILE_BLOCK.format(coin="good") + "\n" + PROFILE_BLOCK.format(coin="bad")
     (tmp_path / "profiles.txt").write_text(profiles, encoding="utf-8")
     with pytest.raises(CoinclustError, match=r"^bad\.price_usd\.csv:22: dates not strictly increasing "):
-        build_dataset(tmp_path, tmp_path / "profiles.txt", Metric.PRICE)
+        build_dataset(tmp_path, tmp_path / "profiles.txt", "price_usd")
 
 
 def test_build_dataset_non_utf8_series_names_file(tmp_path, capsys):
     _write_snapshot(tmp_path, ["good", "latin"])
-    path = tmp_path / f"latin.{Metric.PRICE.value}.csv"
+    path = tmp_path / "latin.price_usd.csv"
     path.write_bytes(path.read_bytes().replace(b"2019-01-05,", b"2019-01-05,\xe9"))
     with pytest.raises(CoinclustError, match="latin.price_usd.csv: .*not UTF-8"):
-        build_dataset(tmp_path, tmp_path / "profiles.txt", Metric.PRICE)
+        build_dataset(tmp_path, tmp_path / "profiles.txt", "price_usd")
     assert main(["features", "--data-dir", str(tmp_path), "--metric", "price_usd",
                  "--out", str(tmp_path / "out")]) == 1
     assert "latin.price_usd.csv" in capsys.readouterr().err
@@ -326,10 +327,10 @@ def test_build_dataset_non_utf8_series_names_file(tmp_path, capsys):
 ], ids=["extra_field", "date_out_of_order"])
 def test_build_dataset_error_names_file_once(tmp_path, capsys, row, message):
     _write_snapshot(tmp_path, ["good", "bad"])
-    path = tmp_path / f"bad.{Metric.PRICE.value}.csv"
+    path = tmp_path / "bad.price_usd.csv"
     path.write_text(path.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
     with pytest.raises(CoinclustError, match=rf"^bad\.price_usd\.csv:42: {message}$") as info:
-        build_dataset(tmp_path, tmp_path / "profiles.txt", Metric.PRICE)
+        build_dataset(tmp_path, tmp_path / "profiles.txt", "price_usd")
     assert str(info.value).count("bad.price_usd.csv") == 1
     assert main(["features", "--data-dir", str(tmp_path), "--metric", "price_usd",
                  "--out", str(tmp_path / "out")]) == 1
@@ -338,11 +339,11 @@ def test_build_dataset_error_names_file_once(tmp_path, capsys, row, message):
 
 def test_oversized_csv_field_is_malformed_csv(tmp_path, capsys):
     _write_snapshot(tmp_path, ["good", "huge"])
-    path = tmp_path / f"huge.{Metric.PRICE.value}.csv"
+    path = tmp_path / "huge.price_usd.csv"
     path.write_text(path.read_text(encoding="utf-8") + "2019-03-01," + "1" * 200_000 + "\n",
                     encoding="utf-8")
     with pytest.raises(CoinclustError, match=r"^huge\.price_usd\.csv:\d+: field larger"):
-        load_series(path, Metric.PRICE)
+        load_series(path, "price_usd")
     assert main(["features", "--data-dir", str(tmp_path), "--metric", "price_usd",
                  "--out", str(tmp_path / "out")]) == 1
     assert "huge.price_usd.csv" in capsys.readouterr().err
@@ -352,7 +353,7 @@ def test_a_field_the_reader_refuses_is_reported_before_an_earlier_row_error(tmp_
     path = tmp_path / "x.price_usd.csv"
     write_csv(path, ["2019-13-01,1", "2019-01-02," + "1" * (csv.field_size_limit() + 1)])
     with pytest.raises(CoinclustError, match=r"^x\.price_usd\.csv:3: field larger than field limit"):
-        load_series(path, Metric.PRICE)
+        load_series(path, "price_usd")
 
 
 def test_row_route_validates_rows_as_it_reads_them(tmp_path):
@@ -364,7 +365,7 @@ def test_row_route_validates_rows_as_it_reads_them(tmp_path):
     path.write_bytes(("date,value\r\n" + "\r\n".join(rows) + "\r\n").encode())
     tracemalloc.start()
     try:
-        series = load_series(path, Metric.PRICE)
+        series = load_series(path, "price_usd")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -450,5 +451,19 @@ def test_profiles_non_utf8_names_file(tmp_path):
 
 
 def test_source_url_convention():
-    assert source_url("bitcoin", Metric.PRICE).startswith("https://bitinfocharts.com/")
-    assert "bitcoin" in source_url("bitcoin", Metric.BLOCK_SIZE)
+    assert source_url("bitcoin", "price_usd").startswith("https://bitinfocharts.com/")
+    assert "bitcoin" in source_url("bitcoin", "block_size_bytes")
+
+
+@pytest.mark.parametrize("call", [
+    lambda path: load_series(path, "volume"),
+    lambda path: parse_series(path, path.read_bytes(), "volume"),
+    lambda path: build_dataset(path.parent, path.parent / "profiles.txt", "volume"),
+    lambda path: source_url("bitcoin", "volume"),
+], ids=["load_series", "parse_series", "build_dataset", "source_url"])
+def test_a_metric_outside_the_table_is_a_value_error(tmp_path, call):
+    path = tmp_path / "bitcoin.volume.csv"
+    write_csv(path, ["2019-01-01,1.0"])
+    (tmp_path / "profiles.txt").write_text(PROFILE_BLOCK.format(coin="bitcoin"))
+    with pytest.raises(ValueError, match=r"^unknown metric 'volume'"):
+        call(path)

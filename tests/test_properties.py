@@ -19,7 +19,7 @@ from coinclust.clustering import _median_root
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
 from coinclust.ingest import (
-    _PROFILE_KEYS, _TOKENS, Dataset, MechanismProfile, Metric,
+    _PROFILE_KEYS, _TOKENS, METRICS, Dataset, MechanismProfile,
     _plain_values, _row_series, load_profiles, load_series, read_utf8,
 )
 from coinclust.report import report_run
@@ -99,7 +99,7 @@ def test_dfa_equals_reference_loop_bit_for_bit(seed, n, decimals, min_window, fr
 
 def test_dfa_of_a_batch_larger_than_2_16_floats_is_each_series_alone_in_linear_memory():
     files = benchmark_files("wide")
-    batch = [_plain_values(data.decode(), Metric.PRICE) for name, data in files.items() if name.endswith(".csv")]
+    batch = [_plain_values(data.decode(), "price_usd") for name, data in files.items() if name.endswith(".csv")]
     values = sum(x.size for x in batch)
     assert len(batch) == 600 and values > 2**16
     tracemalloc.start()
@@ -190,7 +190,7 @@ def test_load_series_gives_a_series_or_a_coinclust_error(data):
         path = Path(tmp) / "x.price_usd.csv"
         path.write_bytes(data)
         try:
-            series = load_series(path, Metric.PRICE)
+            series = load_series(path, "price_usd")
         except CoinclustError as exc:
             assert str(exc).startswith("x.price_usd.csv")
         else:
@@ -230,11 +230,11 @@ def _series_texts(draw):
 
 
 @settings(deadline=None, max_examples=400)
-@given(text=_series_texts(), metric=st.sampled_from(list(Metric)))
-@example(text="date,value\n2019-01-01,1.5\n2019-01-02, 2 \n2020-02-29,1_0", metric=Metric.BLOCK_SIZE)
-@example(text="date,value\n", metric=Metric.PRICE)
-@example(text="date,value\n2019-01-01,\r1\n", metric=Metric.PRICE)  # the reader ends the row at the CR
-@example(text=f"date,value\n2019-01-01,{_LONG_VALUE}\n", metric=Metric.PRICE)
+@given(text=_series_texts(), metric=st.sampled_from(list(METRICS)))
+@example(text="date,value\n2019-01-01,1.5\n2019-01-02, 2 \n2020-02-29,1_0", metric="block_size_bytes")
+@example(text="date,value\n", metric="price_usd")
+@example(text="date,value\n2019-01-01,\r1\n", metric="price_usd")  # the reader ends the row at the CR
+@example(text=f"date,value\n2019-01-01,{_LONG_VALUE}\n", metric="price_usd")
 def test_array_route_gives_the_row_loops_values_or_none(text, metric):
     plain = _plain_values(text, metric)
     if plain is not None:
@@ -245,9 +245,9 @@ def test_array_route_gives_the_row_loops_values_or_none(text, metric):
 @pytest.mark.parametrize("stamp", _NOT_DATES)
 def test_a_well_formed_stamp_that_is_not_a_date_is_not_plain(stamp):
     text = f"date,value\n{stamp},1.5\n"
-    assert _plain_values(text, Metric.PRICE) is None
+    assert _plain_values(text, "price_usd") is None
     with pytest.raises(CoinclustError, match=r"^x\.csv:2: bad date"):
-        _row_series(Path("x.csv"), text, Metric.PRICE)
+        _row_series(Path("x.csv"), text, "price_usd")
 
 
 @pytest.mark.parametrize("year", ["0000", "0001", "1900", "2000", "2019", "2100", "9999"])
@@ -261,10 +261,10 @@ def test_a_plain_date_is_a_calendar_date_over_the_whole_byte_range(year):
             except ValueError:
                 real = False
             text = f"date,value\n{stamp},1.5\n"
-            plain = _plain_values(text, Metric.PRICE)
+            plain = _plain_values(text, "price_usd")
             assert (plain is not None) == real, stamp
             if real:
-                assert _row_series(Path("x.csv"), text, Metric.PRICE).values.tobytes() == plain.tobytes()
+                assert _row_series(Path("x.csv"), text, "price_usd").values.tobytes() == plain.tobytes()
 
 
 def test_every_shipped_and_benchmark_series_file_takes_the_array_route():
@@ -274,7 +274,7 @@ def test_every_shipped_and_benchmark_series_file_takes_the_array_route():
                       for name, data in benchmark_files(workload).items() if name.endswith(".csv")})
     assert len(texts) == 51 + 600 + 30
     for name, text in texts.items():
-        assert _plain_values(text, Metric(name.split(".")[1])) is not None, name
+        assert _plain_values(text, name.split(".")[1]) is not None, name
 
 
 @settings(deadline=None, max_examples=150)
@@ -315,18 +315,18 @@ def _sweep_datasets() -> dict[str, Dataset]:
         for i, coin in enumerate(coins)
     }
     datasets = {}
-    for metric in Metric:
+    for metric in METRICS:
         values = {f"walk{i}": 50.0 * np.exp(0.02 * np.cumsum(rng.standard_normal(rng.integers(200, 401))))
                   for i in range(1, 5)}
         values["twin"] = values["walk1"].copy()
         values["flat"] = np.full(250, 7.0)
         values["peg"] = 1.0 + np.round(0.002 * rng.standard_normal(300), 4)
         values["steps"] = np.round(10.0 + np.abs(np.cumsum(rng.standard_normal(320))))
-        if metric is not Metric.BLOCK_SIZE:
+        if metric != "block_size_bytes":
             values["absent"] = 3.0 + rng.random(210)
         series = {coin: make_series(v) for coin, v in values.items()}
         missing = sorted(set(coins) - set(series))
-        datasets[metric.value] = Dataset(metric=metric, series=series, profiles=profiles, missing=missing)
+        datasets[metric] = Dataset(metric=metric, series=series, profiles=profiles, missing=missing)
     return datasets
 
 

@@ -4,7 +4,7 @@ import pytest
 from coinclust.clustering import ClusterAssignment
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError
-from coinclust.ingest import Dataset, MechanismProfile, Metric
+from coinclust.ingest import METRICS, Dataset, MechanismProfile
 from coinclust.projection import Projection3D
 from coinclust.report import crosstab, emit_plots, report_run
 
@@ -172,14 +172,13 @@ def synthetic_dataset(metric, coins_groups, seed0=0, n=300):
 def three_metric_datasets():
     groups = [["a1", "a2", "a3"], ["b1", "b2", "b3"], ["c1", "c2", "c3"]]
     return {
-        m.value: synthetic_dataset(m, groups, seed0=i * 10)
-        for i, m in enumerate([Metric.PRICE, Metric.BLOCK_TIME, Metric.BLOCK_SIZE])
+        m: synthetic_dataset(m, groups, seed0=i * 10) for i, m in enumerate(METRICS)
     }
 
 
 def test_report_run_three_sections():
     report = report_run(three_metric_datasets(), RunConfig(k_max=3, spectrum_bins=50))
-    assert sorted(report.sections) == sorted(m.value for m in Metric)
+    assert list(report.sections) == list(METRICS)
     for section in report.sections.values():
         assert section.error is None
         assert section.assignment.k >= 2
@@ -187,7 +186,7 @@ def test_report_run_three_sections():
 
 def test_report_run_partial_metrics():
     datasets = three_metric_datasets()
-    del datasets[Metric.BLOCK_SIZE.value]
+    del datasets["block_size_bytes"]
     report = report_run(datasets, RunConfig(k_max=3, spectrum_bins=50))
     assert len(report.sections) == 2
 
@@ -202,5 +201,5 @@ def test_report_run_deterministic_json():
 def test_report_markdown_contains_sections():
     report = report_run(three_metric_datasets(), RunConfig(k_max=3, spectrum_bins=50))
     md = report.to_markdown()
-    for metric in (m.value for m in Metric):
+    for metric in METRICS:
         assert metric in md

@@ -36,7 +36,7 @@ def test_periodogram_matches_dft_matrix_oracle(n):
 
 
 def test_periodogram_too_short():
-    with pytest.raises(CoinclustError, match=r"^need >= 8 observations, got 7$"):
+    with pytest.raises(CoinclustError, match=r"^spectrum: need >= 8 observations, got 7$"):
         periodogram(np.ones(7))
 
 
