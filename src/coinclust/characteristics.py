@@ -609,7 +609,7 @@ def _characteristics(series: list, cfg: RunConfig) -> list[np.ndarray | Coinclus
     for item in series:
         values = np.asarray(item.values, dtype=float)
         if values.size < cfg.min_series_len:
-            results.append(CoinclustError(f"fewer than min_series_len={cfg.min_series_len} rows"))
+            results.append(CoinclustError(f"min_series_len: fewer than {cfg.min_series_len} rows"))
             continue
         if np.ptp(values) == 0.0:
             level = float(values[0])

@@ -131,7 +131,7 @@ def _write_bundle(section: MetricSection, out: Path) -> str | None:
     emit_plots(section.projection, section.assignment, out)
     _write_clusters(section, out)
     return (f"{section.metric}: k={section.assignment.k} " +
-            " ".join(f"purity[{a}]={v:.2f}" for a, v in sorted(section.crosstab.purity.items())))
+            " ".join(f"purity[{a}]={v:.2f}" for a, v in section.crosstab.purity.items()))
 
 
 def run_pipeline(cfg: RunConfig, args) -> int:

@@ -77,31 +77,27 @@ def characteristics_by_metric(datasets: dict[str, Dataset], config: RunConfig) -
     return {name: [next(rows) for _ in batch] for name, batch in batches.items()}
 
 
-def assemble_features(dataset: Dataset, config: RunConfig | None = None, characteristics=None) -> FeatureMatrix:
+def assemble_features(dataset: Dataset, config: RunConfig, characteristics: list) -> FeatureMatrix:
     """One row per coin, in sorted coin order: 16 characteristics then
     ``config.spectrum_bins`` spectrum bins.
 
-    ``characteristics`` is ``compute_characteristics`` of the dataset's
-    series in sorted coin order; when not given, it is computed here.
-    Coins whose data cannot yield features (a ``CoinclustError``) are
-    excluded and recorded in ``excluded`` rather than failing the whole
-    batch; any other exception is a parameter or programming error and
-    propagates.  When every coin is excluded, the error names each reason
-    once with the coins that share it.
+    ``characteristics`` is the dataset's entry of ``characteristics_by_metric``:
+    a row or the ``CoinclustError`` that excludes it per series, in sorted
+    coin order.  Coins whose data cannot yield features (a
+    ``CoinclustError``) are excluded and recorded in ``excluded`` rather
+    than failing the whole batch; any other exception is a parameter or
+    programming error and propagates.  When every coin is excluded, the
+    error names each reason once with the coins that share it.
     """
-    cfg = config or RunConfig()
     coin_ids: list[str] = []
     rows: list[np.ndarray] = []
     excluded: dict[str, str] = {}
-    coins = dataset.coin_ids()
-    if characteristics is None:
-        characteristics = compute_characteristics([dataset.series[c] for c in coins], cfg)
-    for coin_id, row in zip(coins, characteristics):
+    for coin_id, row in zip(dataset.coin_ids(), characteristics):
         if isinstance(row, CoinclustError):
             excluded[coin_id] = str(row)
             continue
         try:
-            bins = spectrum_feature(dataset.series[coin_id], cfg.spectrum_bins)
+            bins = spectrum_feature(dataset.series[coin_id], config.spectrum_bins)
         except CoinclustError as exc:
             excluded[coin_id] = str(exc)
             continue
@@ -116,7 +112,7 @@ def assemble_features(dataset: Dataset, config: RunConfig | None = None, charact
     return FeatureMatrix(
         coin_ids=coin_ids,
         rows=np.vstack(rows),
-        column_names=list(COLUMNS) + bin_names(cfg.spectrum_bins),
+        column_names=list(COLUMNS) + bin_names(config.spectrum_bins),
         metric=dataset.metric,
         excluded=excluded,
     )

@@ -18,8 +18,7 @@ N_COMPONENTS = 3
 
 @dataclass
 class Projection3D:
-    coin_ids: list[str]
-    coords: np.ndarray                    # m x 3
+    coords: np.ndarray                    # m x 3, rows in the matrix's coin order
     explained_variance_ratio: np.ndarray  # 3 values, non-increasing
     component_loadings: np.ndarray        # 3 x D
     rank_deficient: bool = False
@@ -55,7 +54,6 @@ def pca3(matrix: FeatureMatrix) -> Projection3D:
             loadings[i] = -loadings[i]
     coords = x @ loadings.T
     return Projection3D(
-        coin_ids=list(matrix.coin_ids),
         coords=coords,
         explained_variance_ratio=ratio,
         component_loadings=loadings,

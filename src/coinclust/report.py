@@ -113,16 +113,14 @@ _MARGIN = 42.0
 
 def projection_csv_text(projection: Projection3D, assignment: ClusterAssignment) -> str:
     lines = ["coin_id,pc1,pc2,pc3,cluster_id"]
-    label_of = dict(zip(assignment.coin_ids, assignment.labels))
-    for i, coin in enumerate(projection.coin_ids):
-        x, y, z = (float(v) for v in projection.coords[i])
-        lines.append(f"{coin},{x!r},{y!r},{z!r},{label_of[coin]}")
+    for coin, label, row in zip(assignment.coin_ids, assignment.labels, projection.coords):
+        x, y, z = (float(v) for v in row)
+        lines.append(f"{coin},{x!r},{y!r},{z!r},{label}")
     return "\n".join(lines) + "\n"
 
 
 def scatter_svg_text(projection: Projection3D, assignment: ClusterAssignment) -> str:
     """Static scatter of the three principal-plane pairs, colored by cluster."""
-    label_of = dict(zip(assignment.coin_ids, assignment.labels))
     coords = projection.coords
     spans = []
     for axis in range(3):
@@ -153,10 +151,10 @@ def scatter_svg_text(projection: Projection3D, assignment: ClusterAssignment) ->
             f'<text x="{_PANEL_SIZE / 2:.1f}" y="{_PANEL_SIZE + 24:.1f}" font-size="12" '
             f'text-anchor="middle" font-family="sans-serif">pc{ax + 1} vs pc{ay + 1}</text>'
         )
-        for i, coin in enumerate(projection.coin_ids):
-            cx = scale(float(coords[i, ax]), ax)
-            cy = _PANEL_SIZE - scale(float(coords[i, ay]), ay)
-            color = _PALETTE[label_of[coin] % len(_PALETTE)]
+        for coin, label, row in zip(assignment.coin_ids, assignment.labels, coords):
+            cx = scale(float(row[ax]), ax)
+            cy = _PANEL_SIZE - scale(float(row[ay]), ay)
+            color = _PALETTE[label % len(_PALETTE)]
             parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="{color}"/>')
             parts.append(
                 f'<text x="{cx + 5:.2f}" y="{cy - 4:.2f}" font-size="8" '
@@ -170,12 +168,11 @@ def scatter_svg_text(projection: Projection3D, assignment: ClusterAssignment) ->
 def emit_plots(projection: Projection3D, assignment: ClusterAssignment, out_dir) -> list[Path]:
     """Write the projection CSV and the cluster scatter SVG.
 
-    Output is byte-deterministic for a fixed pipeline seed.
+    The projection's rows are the assignment's coins, in its order.  Output
+    is byte-deterministic for a fixed pipeline seed.
     """
     if not assignment.coin_ids:
         raise ValueError("empty assignment, nothing to plot")
-    if list(projection.coin_ids) != list(assignment.coin_ids):
-        raise ValueError("projection and assignment coin_ids differ")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metric = assignment.metric or "metric"
@@ -211,7 +208,7 @@ class MetricSection:
         out["assignment"] = self.assignment.as_dict()
         out["crosstab"] = self.crosstab.as_dict()
         out["projection"] = {
-            "coin_ids": self.projection.coin_ids,
+            "coin_ids": self.assignment.coin_ids,
             "coords": [[float(v) for v in row] for row in self.projection.coords],
             "explained_variance_ratio": [float(v) for v in self.projection.explained_variance_ratio],
         }

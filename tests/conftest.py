@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from coinclust.characteristics import COLUMNS, compute_characteristics
+from coinclust.clustering import assemble_features, characteristics_by_metric
+from coinclust.config import RunConfig
 from coinclust.ingest import Series
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +22,12 @@ def characteristics_of(values) -> dict[str, float]:
     """The characteristics row of one series, keyed by its ``COLUMNS`` names."""
     [row] = compute_characteristics([make_series(values)])
     return dict(zip(COLUMNS, row.tolist()))
+
+
+def features_of(dataset, config=None):
+    """A dataset's feature matrix, computed as ``report_run`` computes it."""
+    cfg = config or RunConfig()
+    return assemble_features(dataset, cfg, characteristics_by_metric({dataset.metric: dataset}, cfg)[dataset.metric])
 
 
 def load_module(relative: str):

@@ -22,7 +22,6 @@ from coinclust.characteristics import (
 )
 from coinclust.clustering import (
     FeatureMatrix,
-    assemble_features,
     kmeans,
     laplacian_eigendecomposition,
     select_k_and_cluster,
@@ -35,6 +34,7 @@ from coinclust.ingest import METRICS, build_dataset
 from coinclust.report import report_run
 from coinclust.spectrum import bin_names, periodogram, resample_spectrum
 
+from conftest import features_of
 from oracles import (
     acf1_direct,
     co_membership,
@@ -220,7 +220,7 @@ def test_criterion_7_determinism_and_equivariance(snapshot_dir):
     b = report_run({"price_usd": ds}, cfg).to_json()
     assert a == b, "repeated runs must be byte-identical"
 
-    features = standardize(assemble_features(ds))
+    features = standardize(features_of(ds))
     base = select_k_and_cluster(features, k_max=6, seed=42)
     rng = np.random.default_rng(0)
     perm = rng.permutation(len(features.coin_ids))
@@ -236,7 +236,7 @@ def test_criterion_7_determinism_and_equivariance(snapshot_dir):
         co_membership(base.labels), co_membership(np.asarray(p.labels)[back])
     ), "coin permutation changed co-membership"
 
-    raw = assemble_features(ds)
+    raw = features_of(ds)
     scaled_rows = raw.rows.copy()
     scaled_rows[:, 0] *= 1000.0  # rescale one raw feature column
     scaled = standardize(FeatureMatrix(
@@ -282,7 +282,7 @@ def test_criterion_8_end_to_end_fixture_run(snapshot_dir):
 def test_criterion_9_feature_schema(snapshot_dir):
     t0 = time.time()
     ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", "price_usd")
-    matrix = assemble_features(ds)
+    matrix = features_of(ds)
     expected = [
         "mean", "standard_deviation", "skewness", "kurtosis", "maximum", "minimum",
         "lowerquant", "median", "upperquant", "VaR99", "VaR95", "slope", "intercept",

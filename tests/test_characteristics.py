@@ -542,7 +542,7 @@ def test_constant_series_zeros():
 def test_series_below_min_series_len_raises_naming_the_setting(n, config):
     [reason] = compute_characteristics([make_series(np.full(n, 4.0))], config)
     assert isinstance(reason, CoinclustError)
-    assert str(reason) == f"fewer than min_series_len={config.min_series_len} rows"
+    assert str(reason) == f"min_series_len: fewer than {config.min_series_len} rows"
 
 
 def test_vector_matches_field_order():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from coinclust.cli import build_parser, main
@@ -13,6 +15,7 @@ from coinclust.characteristics import COLUMNS, chaos_lyapunov, self_similarity_d
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError, ConfigError
 from coinclust.ingest import METRICS, build_dataset
+from coinclust.report import CROSSTAB_ATTRIBUTES
 from coinclust.spectrum import bin_names
 
 from conftest import FIXTURE_DIR, REPO_ROOT, SNAPSHOT_DIR, random_walk
@@ -98,6 +101,14 @@ def test_report_bundle(tmp_path, snapshot_dir):
     assert report["fingerprints"]
 
 
+def test_report_stdout_lists_purities_in_report_md_order(tmp_path, snapshot_dir, capsys):
+    assert run(["report", "--data-dir", str(snapshot_dir), "--metric", "price_usd", "--out", str(tmp_path)]) == 0
+    printed = re.findall(r"purity\[(\w+)\]=", capsys.readouterr().out)
+    [line] = [line for line in (tmp_path / "report.md").read_text().splitlines() if line.startswith("purity: ")]
+    written = [entry.split()[0] for entry in line.removeprefix("purity: ").split(", ")]
+    assert printed == written == list(CROSSTAB_ATTRIBUTES)
+
+
 @pytest.mark.parametrize("token", ["SHA|256", "SHA\\|256"])
 def test_a_pipe_in_a_profile_token_stays_in_its_markdown_cell(tmp_path, snapshot_dir, token):
     data = tmp_path / "data"
@@ -137,10 +148,10 @@ def test_report_rerun_identical(tmp_path, snapshot_dir):
 
 
 def test_golden_svg(tmp_path, snapshot_dir):
-    golden = FIXTURE_DIR / "golden" / "clusters.price_usd.svg"
+    golden = json.loads((FIXTURE_DIR / "golden" / "digests.json").read_text())["snapshot/report/clusters.price_usd.svg"]
     assert run(["report", "--data-dir", str(snapshot_dir), "--metric", "price_usd",
                 "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "clusters.price_usd.svg").read_bytes() == golden.read_bytes()
+    assert hashlib.sha256((tmp_path / "clusters.price_usd.svg").read_bytes()).hexdigest() == golden
 
 
 def test_config_file_and_flag_precedence(tmp_path, snapshot_dir):
@@ -414,7 +425,7 @@ def test_series_below_min_series_len_is_excluded_per_coin(tmp_path, snapshot_dir
     assert run(["report", "--data-dir", str(data), "--out", str(cut)]) == 0
     assert run(["report", "--data-dir", str(snapshot_dir), "--out", str(whole)]) == 0
     sections = [json.loads((out / "report.json").read_text())["metrics"] for out in (cut, whole)]
-    assert sections[0]["price_usd"]["excluded"] == {"bitcoin": "fewer than min_series_len=30 rows"}
+    assert sections[0]["price_usd"]["excluded"] == {"bitcoin": "min_series_len: fewer than 30 rows"}
     assert all("bitcoin" not in c["coins"] for c in sections[0]["price_usd"]["assignment"]["clusters"])
     for metric in ("block_time_minutes", "block_size_bytes"):
         assert sections[0][metric] == sections[1][metric]
@@ -472,6 +483,42 @@ def test_a_series_too_short_for_the_spectrum_is_excluded_with_its_field(tmp_path
     assert run(["features", "--data-dir", str(data), "--metric", "price_usd", "--min-series-len", "3",
                 "--out", str(tmp_path)]) == 0
     assert "skipped bitcoin: spectrum: need >= 8 observations, got 5" in capsys.readouterr().out
+
+
+def _documented_exclusion_prefixes():
+    """The prefixes of the exclusion-reason row of the prefix table in docs/data_formats.md."""
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+            for line in (REPO_ROOT / "docs" / "data_formats.md").read_text().splitlines() if line.startswith("| `")]
+    [prefixes] = [row[0] for row in rows if row[1].startswith("exclusion reasons")]
+    return re.findall(r"`(\w+:)`", prefixes)
+
+
+# One crafted litecoin series per exclusion reason, with the flags that let it reach that reason.
+_EXCLUSIONS = {
+    "min_series_len": (random_walk(20, seed=3, start=100.0), []),
+    "kurtosis": (1e100 * random_walk(40, seed=3, start=100.0), []),
+    "autocorrelation": (np.array([1.0, 2.0]), ["--min-series-len", "2"]),
+    "self_similarity": (random_walk(50, seed=3, start=100.0), []),
+    "chaos": (random_walk(150, seed=3, start=100.0), []),
+    "spectrum": (np.full(5, 5.0), ["--min-series-len", "3"]),
+}
+
+
+@pytest.mark.parametrize("field", list(_EXCLUSIONS))
+def test_every_exclusion_reason_starts_with_a_documented_prefix(tmp_path, snapshot_dir, capsys, field):
+    documented = _documented_exclusion_prefixes()
+    assert sorted(documented) == sorted(f"{name}:" for name in _EXCLUSIONS)
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(snapshot_dir / "profiles.txt", data)
+    values, flags = _EXCLUSIONS[field]
+    for coin, series in (("bitcoin", random_walk(300, seed=1, start=100.0)), ("litecoin", values)):
+        days = np.datetime64("2019-01-01") + np.arange(series.size)
+        (data / f"{coin}.price_usd.csv").write_text(
+            "date,value\n" + "".join(f"{day},{value!r}\n" for day, value in zip(days, series.tolist())))
+    assert run(["features", "--data-dir", str(data), "--metric", "price_usd", *flags, "--out", str(tmp_path)]) == 0
+    [reason] = re.findall(r"^  skipped (?:\w+): (.*)$", capsys.readouterr().out, re.M)
+    assert reason.startswith(tuple(documented)) and reason.startswith(f"{field}:"), reason
 
 
 def _feature_column(out, column):

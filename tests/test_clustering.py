@@ -7,7 +7,6 @@ from coinclust import clustering
 
 from coinclust.clustering import (
     FeatureMatrix,
-    assemble_features,
     kmeans,
     laplacian_eigendecomposition,
     select_k_and_cluster,
@@ -20,7 +19,7 @@ from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError, DegenerateGeometryError
 from coinclust.ingest import Dataset, build_dataset
 
-from conftest import make_series, random_walk
+from conftest import features_of, make_series, random_walk
 from oracles import (
     co_membership, kmeans_exhaustive, kmeans_single_mean_loop, laplacian_eig_dense, laplacian_eigh_reference,
     similarity_double_loop, similarity_row_loop,
@@ -400,7 +399,7 @@ def test_k_max_reaching_the_coin_count_names_the_metric():
 
 def test_select_k_decomposes_the_laplacian_once(snapshot_dir, monkeypatch):
     ds = build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", "price_usd")
-    std = standardize(assemble_features(ds))
+    std = standardize(features_of(ds))
     calls = []
     decompose = clustering.laplacian_eigendecomposition
 
@@ -481,8 +480,8 @@ def test_short_series_excluded_with_reason():
     series = {f"long{i}": make_series(random_walk(400, seed=i, start=100.0))
               for i in range(4)}
     series["short"] = make_series(random_walk(150, seed=9, start=100.0))
-    matrix = assemble_features(Dataset(metric="price_usd", series=series, profiles={}),
-                               RunConfig(spectrum_bins=16))
+    matrix = features_of(Dataset(metric="price_usd", series=series, profiles={}),
+                         RunConfig(spectrum_bins=16))
     assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]
     assert list(matrix.excluded) == ["short"]
     assert matrix.excluded["short"].startswith("chaos:")
@@ -496,7 +495,7 @@ def test_dfa_window_grid_too_small_excludes_the_coin_with_the_reason():
               for i in range(4)}
     series["short"] = make_series(random_walk(450, seed=9, start=100.0))
     config = RunConfig(spectrum_bins=16, dfa_max_window_frac=0.01)
-    matrix = assemble_features(Dataset(metric="price_usd", series=series, profiles={}), config)
+    matrix = features_of(Dataset(metric="price_usd", series=series, profiles={}), config)
     assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]
     assert matrix.excluded == {
         "short": "self_similarity: dfa_min_window=4 and dfa_max_window_frac=0.01 "
@@ -514,7 +513,7 @@ def test_dfa_windows_that_do_not_fit_twice_exclude_coins_under_one_reason():
     for n in (700, 1_000):
         series[f"short{n}"] = make_series(random_walk(n, seed=n, start=100.0))
     config = RunConfig(spectrum_bins=16, dfa_min_window=600, dfa_max_window_frac=1.0)
-    matrix = assemble_features(Dataset(metric="price_usd", series=series, profiles={}), config)
+    matrix = features_of(Dataset(metric="price_usd", series=series, profiles={}), config)
     assert matrix.coin_ids == ["long0", "long1", "long2", "long3"]
     reason = ("self_similarity: dfa_min_window=600 and dfa_max_window_frac=1.0 "
               "leave fewer than 2 window sizes that fit twice in the series")

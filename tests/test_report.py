@@ -112,7 +112,6 @@ def test_crosstab_markdown_renders():
 def projection_for(a):
     rng = np.random.default_rng(0)
     return Projection3D(
-        coin_ids=list(a.coin_ids),
         coords=rng.standard_normal((len(a.coin_ids), 3)),
         explained_variance_ratio=np.array([0.5, 0.3, 0.1]),
         component_loadings=np.zeros((3, 5)),
@@ -137,7 +136,7 @@ def test_emit_plots_writes_csv_and_svg(tmp_path):
 
 def test_emit_plots_empty_assignment(tmp_path):
     empty = ClusterAssignment(coin_ids=[], labels=[], k=0, eigenvalues=np.zeros(0), seed=0)
-    proj = Projection3D(coin_ids=[], coords=np.zeros((0, 3)),
+    proj = Projection3D(coords=np.zeros((0, 3)),
                         explained_variance_ratio=np.zeros(3), component_loadings=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         emit_plots(proj, empty, tmp_path)
