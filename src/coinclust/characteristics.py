@@ -15,7 +15,6 @@ import pickle
 import threading
 from bisect import bisect_right
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,29 +52,16 @@ LYAPUNOV_FIT_STEPS = 20
 DAYS_PER_FIT_STEP = 50
 
 
-class Moments(NamedTuple):
-    mean: float
-    standard_deviation: float
-    skewness: float
-    kurtosis: float
+# The level of each order-statistic column.
+QUANTILE_LEVELS = {"maximum": 1.0, "minimum": 0.0, "lowerquant": 0.25, "median": 0.5, "upperquant": 0.75,
+                   "VaR99": 0.01, "VaR95": 0.05}
+# The columns a constant series holds its level in; it has 0.0 in the others.
+LEVEL_COLUMNS = ("mean", *QUANTILE_LEVELS, "intercept")
 
 
-# The levels of ``Quantiles``, in field order.
-QUANTILE_LEVELS = np.array([0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 1.0])
-
-
-class Quantiles(NamedTuple):
-    minimum: float
-    var99: float
-    var95: float
-    lowerquant: float
-    median: float
-    upperquant: float
-    maximum: float
-
-
-def moments(values) -> Moments:
-    """Sample mean, standard deviation and bias-corrected shape moments.
+def moments(values) -> dict[str, float]:
+    """Sample mean, standard deviation and bias-corrected shape moments,
+    keyed by their ``COLUMNS`` names.
 
     Standard deviation uses the n-1 denominator.  Skewness is the adjusted
     Fisher-Pearson coefficient G1 and kurtosis is bias-corrected *excess*
@@ -99,7 +85,7 @@ def moments(values) -> Moments:
     m2 = float(np.mean(d * d))
     sd = float(np.sqrt(m2 * n / (n - 1)))
     if m2 == 0.0:
-        return Moments(mean, 0.0, 0.0, 0.0)
+        return {"mean": mean, "standard_deviation": 0.0, "skewness": 0.0, "kurtosis": 0.0}
     m3 = float(np.mean(d**3))
     m4 = float(np.mean(d**4))
     skew = kurt = 0.0
@@ -109,11 +95,12 @@ def moments(values) -> Moments:
     if n >= 4:
         g2 = m4 / (m2 * m2) - 3.0
         kurt = ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
-    return Moments(mean, sd, float(skew), float(kurt))
+    return {"mean": mean, "standard_deviation": sd, "skewness": float(skew), "kurtosis": float(kurt)}
 
 
-def quantiles(values) -> Quantiles:
-    """Empirical quantiles of the level series at p = 0, .01, .05, .25, .5, .75, 1.
+def quantiles(values) -> dict[str, float]:
+    """Empirical quantiles of the level series at the ``QUANTILE_LEVELS``,
+    keyed by their column names.
 
     Uses the linear-interpolation ("type 7") definition.  VaR99 / VaR95 are
     the 1% and 5% quantiles of the levels themselves, not of returns.  The
@@ -126,14 +113,14 @@ def quantiles(values) -> Quantiles:
     n = x.size
     if n == 0:
         raise CoinclustError("quantiles: empty input")
-    virtual = (n - 1) * QUANTILE_LEVELS
+    virtual = (n - 1) * np.array(list(QUANTILE_LEVELS.values()))
     below = np.floor(virtual)
     t = virtual - below
     lo = below.astype(np.intp)
     a, b = x[lo], x[np.minimum(lo + 1, n - 1)]
     diff = b - a
     q = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
-    return Quantiles(*(float(v) for v in q))
+    return dict(zip(QUANTILE_LEVELS, q.tolist()))
 
 
 def line_slope(x, y) -> float:
@@ -149,14 +136,12 @@ def line_slope(x, y) -> float:
     return float(np.add.reduce(dx * (y - np.add.reduce(y) / y.size)) / np.add.reduce(dx * dx))
 
 
-def ols_line(values) -> tuple[float, float]:
-    """Least-squares slope and intercept of value on the index t = 0..n-1."""
+def ols_line(values) -> float:
+    """Least-squares slope of value on the index t = 0..n-1."""
     y = np.asarray(values, dtype=float)
-    n = y.size
-    if n < 2:
+    if y.size < 2:
         raise CoinclustError("ols_line: need at least 2 observations")
-    slope = line_slope(np.arange(n), y)
-    return slope, float(np.mean(y) - slope * ((n - 1) / 2.0))
+    return line_slope(np.arange(y.size), y)
 
 
 def autocorrelation_lag1(values) -> float:
@@ -585,12 +570,12 @@ def compute_characteristics(series, config: RunConfig | None = None) -> list[np.
     order, or the ``CoinclustError`` that excludes it.  This is where a
     series is judged usable.  Fewer than ``min_series_len`` values exclude
     it.  A constant series (``np.ptp == 0``, exact at every level) gets,
-    before any estimator runs, the level as its mean, order statistics and
-    intercept, and exactly 0.0 in the seven other columns.  Other series go
-    through every estimator, and the first floor that one of them fails
-    excludes the series, its message starting with the field name; the
-    fluctuation analysis' length and window grid come before the divergence
-    rate.  The ``intercept`` column is the first observed value, not the
+    before any estimator runs, the level in ``LEVEL_COLUMNS`` (its mean,
+    order statistics and intercept) and exactly 0.0 in the seven other
+    columns.  Other series go through every estimator, and the first floor
+    that one of them fails excludes the series, its message starting with
+    the field name; the fluctuation analysis' length and window grid come
+    before the divergence rate.  The ``intercept`` column is the first observed value, not the
     fitted regression intercept.
 
     The series are shared out by ``_fork_map`` over the CPUs in the affinity
@@ -604,36 +589,30 @@ def compute_characteristics(series, config: RunConfig | None = None) -> list[np.
 
 def _characteristics(series: list, cfg: RunConfig) -> list[np.ndarray | CoinclustError]:
     """``compute_characteristics`` of ``series`` in this process."""
-    results: list[np.ndarray | CoinclustError] = []
-    pending: list[tuple[int, np.ndarray]] = []  # (position, values) awaiting the DFA exponent
+    rows: list[dict | CoinclustError] = []
+    pending: list[tuple[dict, np.ndarray]] = []  # (row, values) awaiting the DFA exponent
     for item in series:
         values = np.asarray(item.values, dtype=float)
         if values.size < cfg.min_series_len:
-            results.append(CoinclustError(f"min_series_len: fewer than {cfg.min_series_len} rows"))
+            rows.append(CoinclustError(f"min_series_len: fewer than {cfg.min_series_len} rows"))
             continue
         if np.ptp(values) == 0.0:
-            level = float(values[0])
-            results.append(np.array([level, 0.0, 0.0, 0.0] + [level] * 7 + [0.0, level, 0.0, 0.0, 0.0]))
+            rows.append({name: float(values[0]) if name in LEVEL_COLUMNS else 0.0 for name in COLUMNS})
             continue
         try:
-            mom = moments(values)
-            q = quantiles(values)
-            slope, _ = ols_line(values)
-            acf = autocorrelation_lag1(values)
+            row = {**moments(values), **quantiles(values), "slope": ols_line(values), "intercept": values[0],
+                   "autocorrelation": autocorrelation_lag1(values)}
             dfa_window_sizes(values.size, cfg)
-            lyap = chaos_lyapunov(values, cfg)
+            row["chaos"] = chaos_lyapunov(values, cfg)
         except CoinclustError as exc:
-            results.append(exc)
+            rows.append(exc)
             continue
-        pending.append((len(results), values))
-        results.append(np.array([
-            *mom, q.maximum, q.minimum, q.lowerquant, q.median, q.upperquant, q.var99, q.var95,
-            slope, values[0], acf, np.nan, lyap,  # self_similarity is set below, from the one batch
-        ]))
+        pending.append((row, values))
+        rows.append(row)
     exponents = self_similarity_dfa([values for _, values in pending], cfg)
-    for (at, _), dfa in zip(pending, exponents):
-        results[at][COLUMNS.index("self_similarity")] = dfa
-    return results
+    for (row, _), dfa in zip(pending, exponents):
+        row["self_similarity"] = dfa
+    return [row if isinstance(row, CoinclustError) else np.array([row[name] for name in COLUMNS]) for row in rows]
 
 
 def _fork_map(fn, items) -> list:

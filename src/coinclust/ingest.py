@@ -136,6 +136,16 @@ def parse_series(path: Path, data: bytes, metric: str) -> Series:
     return _row_series(path, text, metric) if values is None else Series(values)
 
 
+def _number(token: str, kind=float) -> float:
+    """``kind(token)``, or NaN when ``kind`` refuses the token or it is not
+    ASCII without ``_`` (``int`` and ``float`` also take "2_016" and other
+    scripts' digits)."""
+    try:
+        return kind(token) if token.isascii() and "_" not in token else math.nan
+    except ValueError:
+        return math.nan
+
+
 def _row_series(path: Path, text: str, metric: str) -> Series:
     """The row loop of ``load_series``: the route of every file that is not
     plain, and the one definition of its drops and messages."""
@@ -165,11 +175,7 @@ def _row_series(path: Path, text: str, metric: str) -> Series:
                 except ValueError:
                     raise CoinclustError(f"{path.name}:{lineno}: bad date {row[0]!r}") from None
                 raw = row[1].strip()
-                try:
-                    value = float(raw)
-                except ValueError:
-                    dropped += 1
-                    continue
+                value = _number(raw)
                 if not math.isfinite(value):
                     dropped += 1
                     continue
@@ -205,20 +211,20 @@ _FIRST_DAY = np.datetime64("0001-01-01")  # numpy has a year 0; date.fromisoform
 def _plain_values(text: str, metric: str) -> np.ndarray | None:
     """The values of a plain series file, or None for any other file.
 
-    A plain file is ASCII with no ``"`` and no CR: the header line is
-    exactly ``date,value``, no line is blank, and every other line is
-    ``YYYY-MM-DD,<value>`` with its only comma in column 11 and at most
+    A plain file is ASCII with no ``"``, no CR and no ``_``: the header
+    line is exactly ``date,value``, no line is blank, and every other line
+    is ``YYYY-MM-DD,<value>`` with its only comma in column 11 and at most
     ``csv.field_size_limit()`` characters.  Its dates, real calendar dates
     by numpy's ``datetime64[D]`` from year 1 on, strictly increase, and its
-    values (parsed by ``float``, as the row loop parses them) are finite
-    with the metric's sign.  On such a file the CSV reader sees two fields
-    per line and the row loop keeps every row, so both routes give the same
-    values; any other file, including every one that drops a row or raises,
-    returns None and goes through the row loop.
+    values (parsed by ``float``, which on such text is the row loop's
+    ``_number``) are finite with the metric's sign.  On such a file the CSV
+    reader sees two fields per line and the row loop keeps every row, so
+    both routes give the same values; any other file, including every one
+    that drops a row or raises, returns None and goes through the row loop.
     """
     if not text.startswith(_PLAIN_HEADER) or not text.isascii():
         return None
-    if '"' in text or "\r" in text:
+    if '"' in text or "\r" in text or "_" in text:
         return None
     # From the header's newline on, with a final one, so each row lies between two.
     body = text[len(_PLAIN_HEADER) - 1 :]
@@ -311,10 +317,7 @@ def _profile_from_block(block: dict[str, str], lines: dict[str, int], source: st
             raise CoinclustError(f"{at(key)}: {key}={tok!r} may use only ASCII letters, digits, '_', '-' and '.'")
         values[key] = tok
         if rule is int or rule is float:
-            try:  # ASCII without "_": int and float also take "2_016" and other scripts' digits
-                values[key] = rule(tok) if tok.isascii() and "_" not in tok else math.nan
-            except ValueError:
-                values[key] = math.nan
+            values[key] = _number(tok, rule)
             if not 0 < values[key] < math.inf:  # nan fails the test too
                 kind = "integer" if rule is int else "finite number"
                 raise CoinclustError(f"{at(key)}: {key} must be a positive {kind}, got {tok!r}")

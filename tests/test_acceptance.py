@@ -83,17 +83,16 @@ def test_criterion_1_closed_form_oracle_equivalence():
     for kind, x in _synthetic_battery():
         m = moments(x)
         omean, osd, oskew, okurt = moments_direct(x)
-        assert m.mean == pytest.approx(omean, rel=1e-8, abs=1e-12)
-        assert m.standard_deviation == pytest.approx(osd, rel=1e-8, abs=1e-12)
-        assert m.skewness == pytest.approx(oskew, rel=1e-8, abs=1e-12)
-        assert m.kurtosis == pytest.approx(okurt, rel=1e-8, abs=1e-12)
+        assert m["mean"] == pytest.approx(omean, rel=1e-8, abs=1e-12)
+        assert m["standard_deviation"] == pytest.approx(osd, rel=1e-8, abs=1e-12)
+        assert m["skewness"] == pytest.approx(oskew, rel=1e-8, abs=1e-12)
+        assert m["kurtosis"] == pytest.approx(okurt, rel=1e-8, abs=1e-12)
         q = quantiles(x)
-        for got, p in zip(q, [0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 1.0]):
-            assert got == pytest.approx(quantile_sorted(x, p), rel=1e-8, abs=1e-12)
-        slope, intercept = ols_line(x)
-        oslope, ointercept = ols_direct(x)
-        assert slope == pytest.approx(oslope, rel=1e-8, abs=1e-12)
-        assert intercept == pytest.approx(ointercept, rel=1e-8, abs=1e-12)
+        for name, p in [("minimum", 0.0), ("VaR99", 0.01), ("VaR95", 0.05), ("lowerquant", 0.25),
+                        ("median", 0.5), ("upperquant", 0.75), ("maximum", 1.0)]:
+            assert q[name] == pytest.approx(quantile_sorted(x, p), rel=1e-8, abs=1e-12)
+        oslope, _ = ols_direct(x)
+        assert ols_line(x) == pytest.approx(oslope, rel=1e-8, abs=1e-12)
         if kind == "constant":
             assert autocorrelation_lag1(x) == 0.0
         else:

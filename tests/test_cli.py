@@ -342,6 +342,25 @@ def test_run_that_writes_nothing_exits_1_after_the_report(tmp_path, snapshot_dir
         assert f"{metric}: k_max=18 needs more than 18 coins" in err
 
 
+def test_a_metric_with_no_series_files_is_a_note(tmp_path, snapshot_dir, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in [*snapshot_dir.glob("*.price_usd.csv"), snapshot_dir / "profiles.txt"]:
+        shutil.copy(path, data)
+    assert run(["report", "--data-dir", str(data), "--out", str(tmp_path / "out")]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+    assert notes == [f"note: {metric}: no series files found" for metric in ("block_time_minutes", "block_size_bytes")]
+    assert list(json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]) == ["price_usd"]
+
+
+def test_no_series_for_any_metric_is_a_data_error(tmp_path, snapshot_dir, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(snapshot_dir / "profiles.txt", data)
+    assert run(["report", "--data-dir", str(data), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: no series for any requested metric under {data}\n"
+
+
 def _cut_snapshot(snapshot_dir, dest, files, rows=150):
     """A copy of the snapshot whose named files keep only their first ``rows`` days."""
     shutil.copytree(snapshot_dir, dest)

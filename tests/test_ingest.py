@@ -109,6 +109,17 @@ def test_load_series_nan_token_dropped(tmp_path):
     assert len(s) == 2 and s.drop_count == 2
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("token", ["1_000", "١٢", "１０"], ids=["underscore", "arabic", "fullwidth"])
+def test_a_value_float_takes_but_the_grammar_refuses_is_dropped(tmp_path, token, newline):
+    """A value is ASCII without "_", as in the profiles; CRLF forces the row loop."""
+    p = tmp_path / "x.csv"
+    rows = ["date,value", "2019-01-01,1.0", f"2019-01-02,{token}", "2019-01-03,2.0"]
+    p.write_bytes((newline.join(rows) + newline).encode("utf-8"))
+    s = load_series(p, "price_usd")
+    assert list(s.values) == [1.0, 2.0] and s.drop_count == 1
+
+
 @pytest.mark.parametrize("metric, rows, message", [
     ("block_time_minutes", ["2019-01-01,5.0", "2019-01-02,-3.0"],
      "x.csv:3: block_time_minutes must be strictly positive, got -3.0"),
