@@ -5,8 +5,8 @@ bins.  Rows are z-scored per column, turned into a Gaussian similarity
 graph with a median-heuristic bandwidth, embedded with the row-normalized
 symmetric-Laplacian (Ng/Jordan/Weiss) construction, and grouped with a
 deterministic multi-restart k-means.  The number of clusters is chosen by
-searching downward from ``k_max`` for the largest k whose clusters all
-contain at least two coins.
+searching downward from ``min(k_max, m // 2)``, m coins, for the largest k
+whose clusters all contain at least two coins.
 """
 
 from __future__ import annotations
@@ -146,13 +146,14 @@ def similarity_matrix(rows: np.ndarray, sigma: float | None = None) -> np.ndarra
     identical raise ``DegenerateGeometryError``, whether or not sigma is
     given.  The diagonal is zero by the usual graph convention.  Squared
     distances are direct differences, row i against rows j >= i, mirrored
-    into column i, (a - b)**2 being (b - a)**2 exactly; each difference
-    array takes the memory order of ``rows``, which sets the order its rows
-    are summed in.  Beyond the m x m result, memory is a packed copy of the
-    upper triangle, m(m-1)/2 values, and one row's differences against the
-    rest, at most m x D.
+    into column i, (a - b)**2 being (b - a)**2 exactly.  ``rows`` is read in
+    Fortran order (``standardize``'s, so not copied), so each row's
+    differences are summed column by column whatever the caller's layout.
+    Beyond the m x m result, memory is a packed copy of the upper triangle,
+    m(m-1)/2 values, and one row's differences against the rest, at most
+    m x D.
     """
-    x = np.asarray(rows, dtype=float)
+    x = np.asarray(rows, dtype=float, order="F")
     m = x.shape[0]
     s = np.empty((m, m))
     upper = np.empty(m * (m - 1) // 2)
@@ -317,23 +318,20 @@ def select_k_and_cluster(
     seed: int = DEFAULT_SEED,
     sigma: float | None = None,
 ) -> ClusterAssignment:
-    """Largest k in [2, k_max] whose clustering has no singleton cluster.
+    """Largest k in [2, min(k_max, m // 2)] whose clustering of the m coins
+    has no singleton cluster.
 
     k is searched downward; if even k=2 leaves a singleton the k=2 result is
-    returned flagged.  Identical-point geometries cannot be clustered
-    meaningfully and come back as a flagged deterministic halving.  Fewer
-    than 4 coins, or no more coins than ``k_max``, raise
-    ``CoinclustError``.
+    returned flagged.  k-means leaves no cluster empty, so every k above
+    m // 2 would leave a singleton and is not tried.  Identical-point
+    geometries cannot be clustered meaningfully and come back as a flagged
+    deterministic halving.  Fewer than 4 coins raise ``CoinclustError``.
     """
     m = len(matrix.coin_ids)
     if k_max < 2:
         raise ValueError(f"need k_max >= 2, got {k_max}")
     if m < 4:
         raise CoinclustError(f"need at least 4 coins to cluster, got {m}")
-    if k_max >= m:
-        raise CoinclustError(
-            f"{matrix.metric}: k_max={k_max} needs more than {k_max} coins, got {m}"
-        )
     try:
         sim = similarity_matrix(matrix.rows, sigma=sigma)
     except DegenerateGeometryError:
@@ -342,7 +340,7 @@ def select_k_and_cluster(
         eigvals = np.zeros(3)
     else:
         eigvals, eigvecs = laplacian_eigendecomposition(sim)
-        for k in range(k_max, 1, -1):
+        for k in range(min(k_max, m // 2), 1, -1):
             labels, _ = kmeans(spectral_embed(eigvecs, k), k, seed=seed)
             singleton = np.bincount(labels, minlength=k).min() < 2
             if not singleton:

@@ -12,6 +12,8 @@ from coinclust.ingest import Series
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SNAPSHOT_DIR = REPO_ROOT / "data" / "snapshot"
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
+# five snapshot coins whose price_usd series k = 2 splits without a singleton
+FIVE_PRICE_COINS = ("bitcoin", "bitcoin_cash", "bitcoin_gold", "bitcoin_sv", "dash")
 
 
 def make_series(values):

@@ -18,7 +18,7 @@ from coinclust.ingest import METRICS, build_dataset
 from coinclust.report import CROSSTAB_ATTRIBUTES
 from coinclust.spectrum import bin_names
 
-from conftest import FIXTURE_DIR, REPO_ROOT, SNAPSHOT_DIR, random_walk
+from conftest import FIVE_PRICE_COINS, FIXTURE_DIR, REPO_ROOT, SNAPSHOT_DIR, random_walk
 
 
 def run(args):
@@ -312,13 +312,35 @@ def test_report_json_does_not_depend_on_where_the_inputs_are(tmp_path, snapshot_
     assert reports[0] == reports[1]
 
 
-def test_k_max_at_a_metrics_coin_count_fails_that_metric_only(tmp_path, snapshot_dir):
+def test_k_max_above_half_a_metrics_coins_clusters_every_metric(tmp_path, snapshot_dir):
+    # the snapshot has 18, 17 and 16 coins per metric
     assert run(["report", "--data-dir", str(snapshot_dir), "--k-max", "16", "--out", str(tmp_path)]) == 0
     sections = json.loads((tmp_path / "report.json").read_text())["metrics"]
-    assert sections["price_usd"]["assignment"]["k"] <= 16
-    assert sections["block_time_minutes"]["assignment"]["k"] <= 16
-    assert sections["block_size_bytes"]["error"] == \
-        "block_size_bytes: k_max=16 needs more than 16 coins, got 16"
+    assert sorted(sections) == sorted(METRICS)
+    for section in sections.values():
+        assignment = section["assignment"]
+        m = sum(len(cluster["coins"]) for cluster in assignment["clusters"])
+        assert 2 <= assignment["k"] <= m // 2
+
+
+def test_a_five_coin_metric_clusters_at_default_flags(tmp_path, snapshot_dir, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(snapshot_dir / "profiles.txt", data)
+    for coin in FIVE_PRICE_COINS:
+        shutil.copy(snapshot_dir / f"{coin}.price_usd.csv", data)
+    for out, k_max in (("default", []), ("k_max_4", ["--k-max", "4"])):
+        assert run(["cluster", "--data-dir", str(data), *k_max, "--out", str(tmp_path / out)]) == 0
+    assert capsys.readouterr().out.count("clusters.price_usd.json: k=2 sizes=[2, 3] flags=[]\n") == 2
+    assert ((tmp_path / "default" / "clusters.price_usd.json").read_bytes() ==
+            (tmp_path / "k_max_4" / "clusters.price_usd.json").read_bytes())
+
+
+def _keep_first_coins(data, metric, keep):
+    """Delete every ``<coin>.<metric>.csv`` under ``data`` but the first ``keep`` in sorted order."""
+    for path in sorted(data.glob(f"*.{metric}.csv"))[keep:]:
+        path.unlink()
+    return data
 
 
 @pytest.mark.parametrize("command, written", [
@@ -326,20 +348,26 @@ def test_k_max_at_a_metrics_coin_count_fails_that_metric_only(tmp_path, snapshot
     ("features", ["features.block_size_bytes.csv", "features.block_time_minutes.csv",
                   "features.price_usd.csv"]),
 ])
-def test_every_command_fails_a_metric_alone(tmp_path, snapshot_dir, command, written):
-    assert run([command, "--data-dir", str(snapshot_dir), "--k-max", "16", "--out", str(tmp_path)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == written
+def test_every_command_fails_a_metric_alone(tmp_path, snapshot_dir, command, written, capsys):
+    data = _keep_first_coins(shutil.copytree(snapshot_dir, tmp_path / "data"), "block_size_bytes", 3)
+    out = tmp_path / "out"
+    assert run([command, "--data-dir", str(data), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == written
+    if command == "cluster":
+        assert "block_size_bytes: failed (need at least 4 coins to cluster, got 3)\n" in capsys.readouterr().out
 
 
 def test_run_that_writes_nothing_exits_1_after_the_report(tmp_path, snapshot_dir, capsys):
-    assert run(["report", "--data-dir", str(snapshot_dir), "--k-max", "18", "--out", str(tmp_path)]) == 1
+    # every snapshot series has fewer than 3000 rows
+    assert run(["report", "--data-dir", str(snapshot_dir), "--min-series-len", "3000",
+                "--out", str(tmp_path)]) == 1
     sections = json.loads((tmp_path / "report.json").read_text())["metrics"]
     assert all("error" in section for section in sections.values())
     assert (tmp_path / "report.md").exists()
     err = capsys.readouterr().err
     assert "no metric produced output" in err
     for metric in sections:
-        assert f"{metric}: k_max=18 needs more than 18 coins" in err
+        assert f"{metric}: failed (no coin produced features for {metric}; " in err
 
 
 def test_a_metric_with_no_series_files_is_a_note(tmp_path, snapshot_dir, capsys):
@@ -431,10 +459,11 @@ def test_identical_series_give_the_flagged_halving_whatever_sigma(tmp_path, snap
 
 def test_error_section_lists_coins_excluded_before_the_failure(tmp_path, snapshot_dir):
     data = _cut_snapshot(snapshot_dir, tmp_path / "data", ["bitcoin.block_size_bytes.csv"])
+    _keep_first_coins(data, "block_size_bytes", 4)  # bitcoin and three more
     out = tmp_path / "out"
-    assert run(["report", "--data-dir", str(data), "--k-max", "15", "--out", str(out)]) == 0
+    assert run(["report", "--data-dir", str(data), "--out", str(out)]) == 0
     section = json.loads((out / "report.json").read_text())["metrics"]["block_size_bytes"]
-    assert section["error"] == "block_size_bytes: k_max=15 needs more than 15 coins, got 15"
+    assert section["error"] == "need at least 4 coins to cluster, got 3"
     assert section["excluded"] == {"bitcoin": "chaos: need >= 200 observations, got 150"}
 
 

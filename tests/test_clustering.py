@@ -17,9 +17,9 @@ from coinclust.clustering import (
 from coinclust.characteristics import COLUMNS
 from coinclust.config import RunConfig
 from coinclust.errors import CoinclustError, DegenerateGeometryError
-from coinclust.ingest import Dataset, build_dataset
+from coinclust.ingest import METRICS, Dataset, build_dataset
 
-from conftest import features_of, make_series, random_walk
+from conftest import FIVE_PRICE_COINS, features_of, make_series, random_walk
 from oracles import (
     co_membership, kmeans_exhaustive, kmeans_single_mean_loop, laplacian_eig_dense, laplacian_eigh_reference,
     similarity_double_loop, similarity_row_loop,
@@ -117,7 +117,8 @@ def test_similarity_row_by_row_is_small_symmetric_and_bit_identical():
         tracemalloc.stop()
     assert peak < 4 * 2**20  # an m x m x D broadcast alone is 69 MB
     assert np.array_equal(s, s.T)
-    sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    # summed column by column, the one order similarity_matrix uses
+    sq = sum((x[:, None, j] - x[None, :, j]) ** 2 for j in range(x.shape[1]))
     sigma = float(np.median(np.sqrt(sq[np.triu_indices(200, k=1)])))
     expected = np.exp(-sq / (2.0 * sigma * sigma))
     np.fill_diagonal(expected, 0.0)
@@ -131,8 +132,8 @@ def test_similarity_upper_triangle_equals_the_row_loop_bit_for_bit(m, dims, sigm
     rng = np.random.default_rng(m * dims)
     x = np.round(rng.standard_normal((m, dims)), 1)
     x[m // 2] = x[0]  # a zero distance, which the median skips
-    x = np.asarray(x, order=order)
-    assert similarity_matrix(x, sigma).tobytes() == similarity_row_loop(x, sigma).tobytes()
+    expected = similarity_row_loop(np.asfortranarray(x), sigma).tobytes()
+    assert similarity_matrix(np.asarray(x, order=order), sigma).tobytes() == expected
 
 
 def test_similarity_peaks_below_three_results():
@@ -389,12 +390,36 @@ def test_select_k_requires_enough_coins():
         select_k_and_cluster(fm(np.eye(3)), k_max=2, seed=0)
 
 
-def test_k_max_reaching_the_coin_count_names_the_metric():
+def test_k_max_at_or_above_the_coin_count_searches_from_half_the_coins():
     rows = np.random.default_rng(0).standard_normal((5, 3))
-    with pytest.raises(CoinclustError, match=r"^test: k_max=5 needs more than 5 coins, got 5$"):
-        select_k_and_cluster(fm(rows), k_max=5, seed=0)
+    half = select_k_and_cluster(fm(rows), k_max=2, seed=0).as_dict()
+    assert half["k"] == 2
+    for k_max in (4, 5, 6, 100):
+        assert select_k_and_cluster(fm(rows), k_max=k_max, seed=0).as_dict() == half
     with pytest.raises(ValueError, match="k_max >= 2"):
         select_k_and_cluster(fm(rows), k_max=1, seed=0)
+
+
+def test_no_kmeans_call_asks_for_more_than_half_the_coins(snapshot_dir, monkeypatch):
+    calls = []
+    fit = clustering.kmeans
+
+    def recorded(points, k, seed):
+        calls.append((k, points.shape[0]))
+        return fit(points, k, seed=seed)
+
+    monkeypatch.setattr(clustering, "kmeans", recorded)
+    matrices = [features_of(build_dataset(snapshot_dir, snapshot_dir / "profiles.txt", metric))
+                for metric in METRICS]
+    price = matrices[0]  # METRICS starts with price_usd
+    five = [price.coin_ids.index(c) for c in FIVE_PRICE_COINS]
+    matrices.append(fm(price.rows[five], ids=[price.coin_ids[i] for i in five]))
+    matrices.append(fm(np.random.default_rng(10).standard_normal((10, 4))))
+    for matrix in matrices:
+        del calls[:]
+        a = select_k_and_cluster(standardize(matrix), k_max=6, seed=42)
+        assert calls and all(2 * k <= m for k, m in calls)
+        assert calls[-1][0] == a.k
 
 
 def test_select_k_decomposes_the_laplacian_once(snapshot_dir, monkeypatch):
